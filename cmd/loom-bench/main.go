@@ -9,13 +9,12 @@
 //	loom-bench -run C2,E9             # run selected experiments
 //	loom-bench -list                  # list experiment IDs
 //	loom-bench -seed 7                # change the global seed
-//	loom-bench -json BENCH_loom.json  # write the benchmark trajectory
-//	                                  # (ns/vertex, allocs/vertex, cut fraction,
-//	                                  # imbalance per scenario) and exit;
-//	                                  # combine with -quick
 //	loom-bench -chaos 50              # run 50 seeded fault-injection
 //	                                  # schedules against the durable server
 //	                                  # (internal/fault/chaos) and exit
+//
+// Performance is measured by the repository benchmark, not here: see
+// perfbench/ (bash perfbench/run.sh).
 package main
 
 import (
@@ -35,9 +34,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	seed := flag.Int64("seed", 42, "global random seed")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	jsonOut := flag.String("json", "", "write the benchmark trajectory to this file (e.g. BENCH_loom.json) and exit")
-	baseline := flag.String("baseline", "", "with -json: compare against this committed trajectory and fail on regression (may be the same file; it is read first)")
-	tolerance := flag.Float64("tolerance", 0.20, "with -baseline: allowed relative regression before failing")
 	chaosSeeds := flag.Int("chaos", 0, "run this many seeded chaos fault-injection schedules and exit")
 	flag.Parse()
 
@@ -52,37 +48,6 @@ func main() {
 	if *list {
 		for _, s := range experiments.All() {
 			fmt.Printf("%-4s %s\n", s.ID, s.Title)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		// The baseline is read before the new trajectory overwrites it, so
-		// `-json BENCH_loom.json -baseline BENCH_loom.json` compares against
-		// the committed numbers and leaves the fresh ones in place.
-		var base []experiments.BenchRecord
-		if *baseline != "" {
-			var err error
-			if base, err = readBenchJSON(*baseline); err != nil {
-				fmt.Fprintf(os.Stderr, "loom-bench: baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		records, err := writeBenchJSON(*jsonOut, *seed, *quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loom-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loom-bench: wrote benchmark trajectory to %s\n", *jsonOut)
-		if *baseline != "" {
-			regressions := experiments.CompareBaseline(records, base, *tolerance)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "loom-bench: REGRESSION: %s\n", r)
-			}
-			if len(regressions) > 0 {
-				os.Exit(1)
-			}
-			fmt.Printf("loom-bench: no regressions beyond %.0f%% against %s\n", *tolerance*100, *baseline)
 		}
 		return
 	}
@@ -171,33 +136,4 @@ func runChaos(base int64, n int) error {
 	fmt.Printf("loom-bench: chaos PASS in %v: ops=%d injections=%d crashes=%d reanchors=%d restreams=%d unacked=%d — survivor matched fault-free control on every seed\n",
 		time.Since(start).Round(time.Millisecond), total.Ops, total.Injections, total.Crashes, total.Reanchors, total.Restreams, total.Unacked)
 	return nil
-}
-
-// writeBenchJSON measures the benchmark trajectory and writes it as JSON,
-// so successive PRs can diff ns/vertex, allocs/vertex, cut fraction and
-// imbalance per scenario.
-func writeBenchJSON(path string, seed int64, quick bool) ([]experiments.BenchRecord, error) {
-	records, err := experiments.BenchTrajectory(seed, quick)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := experiments.WriteBenchJSON(f, records); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return records, f.Close()
-}
-
-// readBenchJSON loads a committed benchmark trajectory.
-func readBenchJSON(path string) ([]experiments.BenchRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return experiments.ReadBenchJSON(f)
 }

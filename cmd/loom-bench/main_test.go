@@ -1,63 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"loom/internal/experiments"
 )
-
-// TestWriteBenchJSON runs the bench trajectory on a tiny instance and
-// checks the emitted file parses back with sane records.
-func TestWriteBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_loom.json")
-	if _, err := writeBenchJSON(path, 42, true); err != nil {
-		t.Fatalf("writeBenchJSON: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []experiments.BenchRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(records) == 0 {
-		t.Fatal("no bench records emitted")
-	}
-	seen := map[string]bool{}
-	for _, r := range records {
-		if r.Scenario == "" || r.Vertices == 0 || r.K == 0 {
-			t.Errorf("incomplete record %+v", r)
-		}
-		if r.CutFraction < 0 || r.CutFraction > 1 {
-			t.Errorf("%s: cut fraction %v out of [0,1]", r.Scenario, r.CutFraction)
-		}
-		if r.Imbalance < 1 {
-			t.Errorf("%s: imbalance %v below 1", r.Scenario, r.Imbalance)
-		}
-		if seen[r.Scenario] {
-			t.Errorf("duplicate scenario %q", r.Scenario)
-		}
-		seen[r.Scenario] = true
-	}
-	// The restreamed scenario must exist and not cut more than single-pass
-	// LDG on the same graph and order.
-	byName := map[string]experiments.BenchRecord{}
-	for _, r := range records {
-		byName[r.Scenario] = r
-	}
-	ldg, okL := byName["community-1000/ldg"]
-	re, okR := byName["community-1000/reldg-3pass"]
-	if !okL || !okR {
-		t.Fatalf("expected community ldg + reldg scenarios, have %v", seen)
-	}
-	if re.CutFraction > ldg.CutFraction {
-		t.Errorf("reldg cut %.4f worse than ldg %.4f", re.CutFraction, ldg.CutFraction)
-	}
-}
 
 // TestBenchExperimentSmoke drives the same Runner loom-bench uses over one
 // cheap experiment, quick mode — the command's core path minus flag

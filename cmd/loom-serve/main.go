@@ -95,66 +95,53 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	k := flag.Int("k", 8, "number of partitions")
-	expected := flag.Int("expected", serve.DefaultExpectedVertices, "expected vertex count (capacity planning; soft)")
-	window := flag.Int("window", 256, "LOOM window size")
-	threshold := flag.Float64("threshold", 0.05, "LOOM motif frequency threshold T")
-	slack := flag.Float64("slack", 1.2, "capacity slack factor")
-	seed := flag.Int64("seed", 1, "random seed")
-	labels := flag.Int("labels", 4, "label alphabet size for the synthetic workload")
-	workloadN := flag.Int("workload", 16, "synthetic workload size (0 = plain windowed LDG)")
-	workloadFile := flag.String("workload-file", "", "workload file (query text format); overrides -workload")
-	maxCut := flag.Float64("max-cut", 0, "restream when cut fraction exceeds this (0 = disabled)")
-	maxImb := flag.Float64("max-imbalance", 0, "restream when imbalance exceeds this (0 = disabled)")
-	minAssigned := flag.Int("min-assigned", serve.DefaultMinAssigned, "drift triggers wait for this many assigned vertices")
-	driftWindow := flag.Int("drift-window", 0, "drift cut rate is measured per this many observed edges (0 = lifetime fraction)")
-	maxMigration := flag.Float64("max-migration", 0, "reject automatic restream swaps migrating more than this fraction of vertices (0 = unlimited)")
-	passes := flag.Int("restream-passes", 1, "passes per background restream")
-	priorityName := flag.String("restream-priority", "none", "between-pass reordering: none|degree|ambivalence|cutdegree")
-	heuristic := flag.String("restream-heuristic", "loom", "restream engine: loom|ldg|fennel")
-	mailbox := flag.Int("mailbox", serve.DefaultMailbox, "ingest mailbox capacity (batches)")
-	queryLimit := flag.Int("query-limit", qserve.DefaultMatchLimit, "match cap per served query (-1 = unlimited; requests can tighten)")
-	replicaBudget := flag.Int("replica-budget", 0, "hotspot replicas placed per view refresh (0 = replication off)")
-	maxMsgsPerQuery := flag.Float64("max-msgs-per-query", 0, "restream when the per-window cross-shard message rate exceeds this (0 = disabled)")
-	queryWindow := flag.Int("query-window", 0, "served queries per message-rate window (0 = default)")
-	refreshQueries := flag.Int("refresh-queries", 0, "rebuild the serving view every N served queries (0 = on demand only)")
-	staticWorkload := flag.Bool("static-workload", false, "keep the static workload: do not feed served queries back into restream scoring")
-	dataDir := flag.String("data-dir", "", "checkpoint directory; enables WAL + snapshot durability")
-	fsync := flag.String("fsync", "always", "WAL fsync policy with -data-dir: always|none")
-	admitRate := flag.Float64("admit-rate", 0, "admission control: sustained elements/sec accepted into the mailbox (0 = unlimited)")
-	admitBurst := flag.Float64("admit-burst", 0, "admission control: burst size in elements (0 = admit-rate)")
-	reanchor := flag.Bool("reanchor", true, "self-heal a wedged server: retry the re-anchoring snapshot with capped backoff (needs -data-dir)")
-	snapshotEvery := flag.Int("snapshot-every-batches", 0, "periodic checkpoint: snapshot after every N accepted batches, bounding the WAL tail (0 = off; needs -data-dir)")
-	decaySpan := flag.Int64("decay-span", 0, "age edges out of restream scoring after this many accepted elements (0 = never)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget for in-flight HTTP requests on SIGINT/SIGTERM")
+	var o serverOptions
+	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
+	flag.IntVar(&o.k, "k", 8, "number of partitions")
+	flag.IntVar(&o.expected, "expected", serve.DefaultExpectedVertices, "expected vertex count (capacity planning; soft)")
+	flag.IntVar(&o.window, "window", 256, "LOOM window size")
+	flag.Float64Var(&o.threshold, "threshold", 0.05, "LOOM motif frequency threshold T")
+	flag.Float64Var(&o.slack, "slack", 1.2, "capacity slack factor")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.IntVar(&o.labels, "labels", 4, "label alphabet size for the synthetic workload")
+	flag.IntVar(&o.workloadN, "workload", 16, "synthetic workload size (0 = plain windowed LDG)")
+	flag.StringVar(&o.workloadFile, "workload-file", "", "workload file (query text format); overrides -workload")
+	flag.Float64Var(&o.maxCut, "max-cut", 0, "restream when cut fraction exceeds this (0 = disabled)")
+	flag.Float64Var(&o.maxImbalance, "max-imbalance", 0, "restream when imbalance exceeds this (0 = disabled)")
+	flag.IntVar(&o.minAssigned, "min-assigned", serve.DefaultMinAssigned, "drift triggers wait for this many assigned vertices")
+	flag.IntVar(&o.driftWindow, "drift-window", 0, "drift cut rate is measured per this many observed edges (0 = lifetime fraction)")
+	flag.Float64Var(&o.maxMigration, "max-migration", 0, "reject automatic restream swaps migrating more than this fraction of vertices (0 = unlimited)")
+	flag.IntVar(&o.passes, "restream-passes", 1, "passes per background restream")
+	flag.StringVar(&o.priority, "restream-priority", "none", "between-pass reordering: none|degree|ambivalence|cutdegree")
+	flag.StringVar(&o.heuristic, "restream-heuristic", "loom", "restream engine: loom|ldg|fennel")
+	flag.IntVar(&o.mailbox, "mailbox", serve.DefaultMailbox, "ingest mailbox capacity (batches)")
+	flag.IntVar(&o.queryLimit, "query-limit", qserve.DefaultMatchLimit, "match cap per served query (-1 = unlimited; requests can tighten)")
+	flag.IntVar(&o.replicaBudget, "replica-budget", 0, "hotspot replicas placed per view refresh (0 = replication off)")
+	flag.Float64Var(&o.maxMsgsPerQuery, "max-msgs-per-query", 0, "restream when the per-window cross-shard message rate exceeds this (0 = disabled)")
+	flag.IntVar(&o.queryWindow, "query-window", 0, "served queries per message-rate window (0 = default)")
+	flag.IntVar(&o.refreshQueries, "refresh-queries", 0, "rebuild the serving view every N served queries (0 = on demand only)")
+	flag.BoolVar(&o.staticWorkload, "static-workload", false, "keep the static workload: do not feed served queries back into restream scoring")
+	flag.StringVar(&o.dataDir, "data-dir", "", "checkpoint directory; enables WAL + snapshot durability")
+	flag.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy with -data-dir: always|none")
+	flag.Float64Var(&o.admitRate, "admit-rate", 0, "admission control: sustained elements/sec accepted into the mailbox (0 = unlimited)")
+	flag.Float64Var(&o.admitBurst, "admit-burst", 0, "admission control: burst size in elements (0 = admit-rate)")
+	flag.BoolVar(&o.reanchor, "reanchor", true, "self-heal a wedged server: retry the re-anchoring snapshot with capped backoff (needs -data-dir)")
+	flag.IntVar(&o.snapshotEvery, "snapshot-every-batches", 0, "periodic checkpoint: snapshot after every N accepted batches, bounding the WAL tail (0 = off; needs -data-dir)")
+	flag.Int64Var(&o.decaySpan, "decay-span", 0, "age edges out of restream scoring after this many accepted elements (0 = never)")
+	flag.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful drain budget for in-flight HTTP requests on SIGINT/SIGTERM")
 	flag.Parse()
 
-	opts := serverOptions{
-		k: *k, expected: *expected, window: *window, threshold: *threshold,
-		slack: *slack, seed: *seed, labels: *labels,
-		workloadN: *workloadN, workloadFile: *workloadFile,
-		maxCut: *maxCut, maxImbalance: *maxImb, minAssigned: *minAssigned,
-		driftWindow: *driftWindow, maxMigration: *maxMigration,
-		passes: *passes, priority: *priorityName, heuristic: *heuristic,
-		mailbox: *mailbox, dataDir: *dataDir, fsync: *fsync,
-		admitRate: *admitRate, admitBurst: *admitBurst, reanchor: *reanchor,
-		snapshotEvery: *snapshotEvery, decaySpan: *decaySpan,
-		queryLimit: *queryLimit, replicaBudget: *replicaBudget,
-		maxMsgsPerQuery: *maxMsgsPerQuery, queryWindow: *queryWindow,
-		refreshQueries: *refreshQueries, staticWorkload: *staticWorkload,
-	}
-	srv, err := buildServer(opts)
+	srv, err := buildServer(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loom-serve: %v\n", err)
 		os.Exit(1)
 	}
-	qe := buildEngine(srv, opts)
+	qe := buildEngine(srv, o)
 	if st := srv.Stats(); st.Persist != nil {
 		r := st.Persist.Recover
 		fmt.Fprintf(os.Stderr,
 			"loom-serve: durable in %s (fsync=%s): snapshot=%v replayed %d records (%d elements) in %dms\n",
-			*dataDir, st.Persist.Fsync, r.SnapshotLoaded, r.ReplayedRecords, r.ReplayedElements, r.RecoverMS)
+			o.dataDir, st.Persist.Fsync, r.SnapshotLoaded, r.ReplayedRecords, r.ReplayedElements, r.RecoverMS)
 		if r.SkippedSnapshots > 0 {
 			// A skipped (damaged) snapshot means recovery fell back to an
 			// older generation; any restream swap or drain after that
@@ -173,7 +160,7 @@ func main() {
 	// or hostile client cannot pin handler goroutines forever. ReadTimeout
 	// is generous because /ingest streams arbitrarily large bodies.
 	hs := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           newMux(srv, qe),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       10 * time.Minute,
@@ -185,14 +172,14 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), o.shutdownTimeout)
 		defer cancel()
 		// Shutdown waits for in-flight handlers; the serve.Server must
 		// stay up until they finish (an ingest mid-stream would otherwise
 		// see ErrStopped).
 		_ = hs.Shutdown(ctx)
 	}()
-	fmt.Fprintf(os.Stderr, "loom-serve: listening on %s (k=%d)\n", *addr, *k)
+	fmt.Fprintf(os.Stderr, "loom-serve: listening on %s (k=%d)\n", o.addr, o.k)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "loom-serve: %v\n", err)
 		os.Exit(1)
@@ -204,7 +191,10 @@ func main() {
 		st.Ingested, st.Assigned, st.CutFraction, st.Restreams)
 }
 
+// serverOptions is the command line: main binds one flag to each field.
 type serverOptions struct {
+	addr                 string
+	shutdownTimeout      time.Duration
 	k, expected, window  int
 	threshold, slack     float64
 	seed                 int64
@@ -368,8 +358,7 @@ func ingestText(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	resp.Rejected = int(after.Rejected - before.Rejected)
 	if refused != nil {
 		resp.Error = refused.Error()
-		status, _ := refusalStatus(w, refused)
-		writeJSON(w, status, resp)
+		writeJSON(w, refusalOr(w, refused, http.StatusInternalServerError), resp)
 		return
 	}
 	if err := src.Err(); err != nil {
@@ -401,11 +390,7 @@ func ingestBinary(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &bad):
 			writeJSON(w, http.StatusBadRequest, resp)
 		default:
-			status, ok := refusalStatus(w, err)
-			if !ok {
-				status = http.StatusInternalServerError
-			}
-			writeJSON(w, status, resp)
+			writeJSON(w, refusalOr(w, err, http.StatusInternalServerError), resp)
 		}
 		return
 	}
@@ -498,11 +483,9 @@ func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 		}
 		resp, err := qe.Query(req)
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, qserve.ErrBadQuery) {
-				status = http.StatusBadRequest
-			} else if s, ok := refusalStatus(w, err); ok {
-				status = s
+			status := http.StatusBadRequest
+			if !errors.Is(err, qserve.ErrBadQuery) {
+				status = refusalOr(w, err, http.StatusInternalServerError)
 			}
 			writeJSON(w, status, map[string]string{"error": err.Error()})
 			return
@@ -516,11 +499,7 @@ func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 
 	mux.HandleFunc("POST /query/refresh", func(w http.ResponseWriter, r *http.Request) {
 		if err := qe.Refresh(); err != nil {
-			status, ok := refusalStatus(w, err)
-			if !ok {
-				status = http.StatusInternalServerError
-			}
-			writeJSON(w, status, map[string]string{"error": err.Error()})
+			writeJSON(w, refusalOr(w, err, http.StatusInternalServerError), map[string]string{"error": err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, qe.Stats())
@@ -542,11 +521,7 @@ func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {
 		if err := srv.Drain(); err != nil {
-			status, ok := refusalStatus(w, err)
-			if !ok {
-				status = http.StatusInternalServerError
-			}
-			writeJSON(w, status, map[string]string{"error": err.Error()})
+			writeJSON(w, refusalOr(w, err, http.StatusInternalServerError), map[string]string{"error": err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"assigned": srv.Stats().Assigned})
@@ -567,23 +542,23 @@ func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 	return mux
 }
 
-// refusalStatus maps serve's typed refusals to HTTP semantics: an
-// admission refusal is 429 Too Many Requests with a Retry-After header,
-// a wedged or stopped server is 503 Service Unavailable. ok is false for
-// errors that are not typed refusals.
-func refusalStatus(w http.ResponseWriter, err error) (status int, ok bool) {
+// refusalOr maps serve's typed refusals to HTTP semantics: an admission
+// refusal is 429 Too Many Requests with a Retry-After header, a wedged or
+// stopped server is 503 Service Unavailable. Any other error gets
+// fallback.
+func refusalOr(w http.ResponseWriter, err error, fallback int) int {
 	var ov *serve.OverloadError
 	switch {
 	case errors.As(err, &ov):
 		secs := int64((ov.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(max(secs, 1), 10))
-		return http.StatusTooManyRequests, true
+		return http.StatusTooManyRequests
 	case errors.Is(err, serve.ErrOverloaded):
-		return http.StatusTooManyRequests, true
+		return http.StatusTooManyRequests
 	case errors.Is(err, serve.ErrWedged), errors.Is(err, serve.ErrStopped):
-		return http.StatusServiceUnavailable, true
+		return http.StatusServiceUnavailable
 	}
-	return 0, false
+	return fallback
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -45,29 +45,34 @@ func testMeta() Meta {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	g, a := testGraphAssignment(t)
-	m := testMeta()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, m, g, a); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	gm, gg, ga, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if gm != m {
-		t.Fatalf("meta round-trip:\n got %+v\nwant %+v", gm, m)
-	}
-	if !gg.Equal(g) {
-		t.Fatal("graph did not round-trip")
-	}
-	if ga.K() != a.K() || ga.Len() != a.Len() {
-		t.Fatalf("assignment k=%d len=%d, want k=%d len=%d", ga.K(), ga.Len(), a.K(), a.Len())
-	}
-	a.EachVertex(func(v graph.VertexID, p partition.ID) {
-		if ga.Get(v) != p {
-			t.Fatalf("assignment Get(%d) = %d, want %d", v, ga.Get(v), p)
+	// The optional workload section: absent (what pre-section snapshots
+	// look like) and present must both round-trip.
+	withWorkload := testMeta()
+	withWorkload.Workload = "query q1 2 graph v0:a v1:b e0-1\nquery q2 0.5 graph v0:a v1:a v2:b e0-1 e1-2\n"
+	for _, m := range []Meta{testMeta(), withWorkload} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, m, g, a); err != nil {
+			t.Fatalf("write: %v", err)
 		}
-	})
+		gm, gg, ga, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if gm != m {
+			t.Fatalf("meta round-trip:\n got %+v\nwant %+v", gm, m)
+		}
+		if !gg.Equal(g) {
+			t.Fatal("graph did not round-trip")
+		}
+		if ga.K() != a.K() || ga.Len() != a.Len() {
+			t.Fatalf("assignment k=%d len=%d, want k=%d len=%d", ga.K(), ga.Len(), a.K(), a.Len())
+		}
+		a.EachVertex(func(v graph.VertexID, p partition.ID) {
+			if ga.Get(v) != p {
+				t.Fatalf("assignment Get(%d) = %d, want %d", v, ga.Get(v), p)
+			}
+		})
+	}
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {

@@ -6,13 +6,14 @@
 // the WAL tail behind it so a restarted server comes up warm instead of
 // replaying its whole stream.
 //
-// Both codecs are layered on the repository's existing text formats: a
+// Both codecs are layered on the repository's existing formats: a
 // snapshot embeds graph.Write and partition.WriteAssignment sections
-// behind a CRC32 footer, and WAL batch bodies are the graph-stream text
-// codec decoded by stream.FromReader. Everything is crash-tolerant by
-// construction: snapshots are written to a temp file and renamed into
-// place, a snapshot without its footer is skipped in favour of the
-// previous one, and a torn final WAL record is truncated, not fatal.
+// behind a CRC32 footer, and WAL batch bodies are binary frame payloads
+// of internal/stream (text bodies from earlier builds still decode, via
+// stream.FromReader). Everything is crash-tolerant by construction:
+// snapshots are written to a temp file and renamed into place, a snapshot
+// without its footer is skipped in favour of the previous one, and a torn
+// final WAL record is truncated, not fatal.
 package checkpoint
 
 import (
@@ -21,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"strconv"
+	"strings"
 
 	"loom/internal/graph"
 	"loom/internal/partition"
@@ -64,10 +66,18 @@ type Meta struct {
 	// NextSeq is the sequence number of the first WAL record not covered
 	// by this snapshot: recovery replays records with seq >= NextSeq.
 	NextSeq uint64
+	// Workload is the query workload (query.WriteWorkload text, one
+	// "query ..." line each) the live trie was built from when a restream
+	// adopted an observed workload; recovery must replay the WAL tail
+	// against that trie, not the configured one. Empty means the static
+	// configured workload — also what snapshots written before the
+	// section existed read as. Opaque here: the serve layer parses it.
+	Workload string
 }
 
 const (
 	snapshotHeader    = "loom-snapshot 1"
+	sectionWorkload   = "%workload"
 	sectionGraph      = "%graph"
 	sectionAssignment = "%assignment"
 	footerPrefix      = "%end crc32="
@@ -86,8 +96,9 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 }
 
 // WriteSnapshot serialises one snapshot to w: a header, `m <key> <value>`
-// metadata lines, the graph text codec, the assignment text codec, and a
-// CRC32 footer over everything before it.
+// metadata lines, the optional workload section, the graph text codec,
+// the assignment text codec, and a CRC32 footer over everything before
+// it.
 func WriteSnapshot(w io.Writer, m Meta, g *graph.Graph, a *partition.Assignment) error {
 	cw := &crcWriter{w: w}
 	if _, err := fmt.Fprintln(cw, snapshotHeader); err != nil {
@@ -116,6 +127,13 @@ func WriteSnapshot(w io.Writer, m Meta, g *graph.Graph, a *partition.Assignment)
 	}
 	for _, kv := range meta {
 		if _, err := fmt.Fprintf(cw, "m %s %s\n", kv.key, kv.val); err != nil {
+			return err
+		}
+	}
+	if m.Workload != "" {
+		// Newline-terminated whatever the caller passed, so the next
+		// section marker starts its own line.
+		if _, err := fmt.Fprintf(cw, "%s\n%s\n", sectionWorkload, strings.TrimSuffix(m.Workload, "\n")); err != nil {
 			return err
 		}
 	}
@@ -157,10 +175,11 @@ func ReadSnapshot(r io.Reader) (Meta, *graph.Graph, *partition.Assignment, error
 		return Meta{}, nil, nil, err
 	}
 
-	// Walk lines by offset: metadata until %graph, graph codec until
-	// %assignment, assignment codec until the footer.
+	// Walk lines by offset: metadata until %workload or %graph, workload
+	// lines until %graph, graph codec until %assignment, assignment codec
+	// until the footer.
 	var m Meta
-	graphStart, graphEnd, assignStart := -1, -1, -1
+	workloadStart, graphStart, graphEnd, assignStart := -1, -1, -1, -1
 	pos := 0
 	for pos < len(body) && assignStart < 0 {
 		lineEnd := bytes.IndexByte(body[pos:], '\n')
@@ -179,9 +198,16 @@ func ReadSnapshot(r io.Reader) (Meta, *graph.Graph, *partition.Assignment, error
 			}
 		case graphStart < 0:
 			if line == sectionGraph {
+				if workloadStart >= 0 {
+					m.Workload = string(body[workloadStart:pos])
+				}
 				graphStart = next
-			} else if err := parseMetaLine(&m, line); err != nil {
-				return Meta{}, nil, nil, err
+			} else if line == sectionWorkload && workloadStart < 0 {
+				workloadStart = next
+			} else if workloadStart < 0 {
+				if err := parseMetaLine(&m, line); err != nil {
+					return Meta{}, nil, nil, err
+				}
 			}
 		default:
 			if line == sectionAssignment {

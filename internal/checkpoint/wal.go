@@ -23,14 +23,14 @@ import (
 //
 //	u64 LE sequence number | u8 record kind | body
 //
-// where the body of a text batch record is the graph-stream text codec
+// where the body of a binary batch record — the only batch kind the
+// server writes — is a binary ingest frame payload (see internal/stream's
+// binary codec), verbatim when an accepted binary batch can be logged
+// without re-encoding, and the body of a text batch record (read-only
+// compatibility, see RecordBatch) is the graph-stream text codec
 // ("v <id> <label>" / "e <u> <v>" lines, removals as "rv <id>" /
-// "re <u> <v>") — the same shape loom-serve
-// ingests over HTTP, so replay reuses stream.FromReader unchanged — and
-// the body of a binary batch record is a binary ingest frame payload
-// verbatim (see internal/stream's binary codec), so an accepted binary
-// batch is logged without re-encoding. A segment file starts with an
-// 8-byte magic plus the u64 LE sequence number of its first record.
+// "re <u> <v>") decoded by stream.FromReader. A segment file starts with
+// an 8-byte magic plus the u64 LE sequence number of its first record.
 //
 // Recovery tolerates a torn tail: a frame whose length, checksum, body or
 // sequence number does not check out ends the scan, and everything before
@@ -54,7 +54,12 @@ const (
 type RecordKind uint8
 
 const (
-	// RecordBatch carries the accepted elements of one ingest batch.
+	// RecordBatch carries the accepted elements of one ingest batch as a
+	// text body (the graph-stream text codec). The server no longer
+	// writes it — every batch is logged as RecordBatchBinary — but the
+	// decoder stays so a data directory whose WAL tail was written by an
+	// earlier build still recovers, and Store.Append(RecordBatch, ...)
+	// stays for the benchmark's per-layer trace, which measures it.
 	RecordBatch RecordKind = 1
 	// RecordDrain marks a window drain (Server.Drain): replay must force
 	// the same assignment barrier at the same stream position.
@@ -66,11 +71,12 @@ const (
 	// alone would leave the engine (and its tie-break RNG) in a
 	// different state than the live server had.
 	RecordBarrier RecordKind = 3
-	// RecordBatchBinary carries the accepted elements of one binary
-	// ingest batch: the body is a binary frame payload (internal/stream)
-	// appended verbatim, so the hot ingest path never re-encodes. Only
-	// dedup-clean payloads whose every element was accepted are logged
-	// this way; partial batches fall back to RecordBatch.
+	// RecordBatchBinary carries the accepted elements of one ingest
+	// batch: the body is a binary frame payload (internal/stream). A
+	// dedup-clean binary ingest frame whose every element was accepted is
+	// appended verbatim, so the hot ingest path never re-encodes; text
+	// batches and partly accepted ones are logged as the accepted subset
+	// encoded by the server's own stream.FrameEncoder.
 	RecordBatchBinary RecordKind = 4
 )
 

@@ -8,6 +8,7 @@ import (
 	"loom/internal/gen"
 	"loom/internal/metrics"
 	"loom/internal/partition"
+	"loom/internal/query"
 	"loom/internal/stream"
 )
 
@@ -81,8 +82,12 @@ func (r *Runner) E15() (*Table, error) {
 	// The community graph is dense, so motif matches overlap massively;
 	// bounding the group size keeps atomic placements from overwhelming
 	// the capacity constraint (cf. experiment E13).
-	trie, err := buildBenchTrie(alphabet, r.Seed)
+	w, err := query.GenerateWorkload(query.DefaultMix(10), alphabet, rand.New(rand.NewSource(r.Seed)))
 	if err != nil {
+		return nil, err
+	}
+	trie := newTrieForAlphabet(alphabet)
+	if err := w.BuildTrie(trie); err != nil {
 		return nil, err
 	}
 	ccfg := core.Config{Partition: cfg, WindowSize: 256, Threshold: 0.05, MaxGroupSize: 8}

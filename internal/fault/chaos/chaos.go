@@ -361,8 +361,10 @@ func Run(seed int64, opts Options) (*Report, error) {
 	}
 	// afterOp advances the snapshot-covered durability mark: a snapshot
 	// landing on an unwedged server re-anchors the WHOLE applied history,
-	// including previously unacknowledged operations.
-	afterOp := func() {
+	// including previously unacknowledged operations. It also closes every
+	// step with the server's recompute-from-scratch check, so a fault that
+	// skews the incremental state is caught at the step that caused it.
+	afterOp := func() error {
 		st := srv.Stats()
 		if st.Persist.Snapshots > snapsSeen {
 			snapsSeen = st.Persist.Snapshots
@@ -370,6 +372,10 @@ func Run(seed int64, opts Options) (*Report, error) {
 				lastDurable = len(history)
 			}
 		}
+		if err := srv.Verify(); err != nil {
+			return fmt.Errorf("chaos: after %d ops: %w", len(history), err)
+		}
+		return nil
 	}
 	attempts := func() int64 { return reanchorBase + srv.Stats().Persist.ReanchorAttempts }
 	// fireReanchor fires one armed self-healing retry and waits for the
@@ -386,8 +392,7 @@ func Run(seed int64, opts Options) (*Report, error) {
 		}
 		rep.Reanchors++
 		history = append(history, op{kind: opBarrier, acked: !srv.Stats().Persist.Wedged})
-		afterOp()
-		return nil
+		return afterOp()
 	}
 
 	for iter := 0; cursor < len(elems) && iter < maxIters; iter++ {
@@ -490,7 +495,9 @@ func Run(seed int64, opts Options) (*Report, error) {
 				history = append(history, op{kind: opRestream, acked: !srv.Stats().Persist.Wedged})
 			}
 		}
-		afterOp()
+		if err := afterOp(); err != nil {
+			return nil, err
+		}
 	}
 	if cursor < len(elems) {
 		return nil, fmt.Errorf("chaos: driver stalled with %d elements unconsumed", len(elems)-cursor)

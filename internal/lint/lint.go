@@ -152,6 +152,7 @@ var DeterministicPackages = map[string]bool{
 	"loom/internal/query":       true,
 	"loom/internal/store":       true,
 	"loom/internal/qserve":      true,
+	"loom/internal/serve/state": true,
 }
 
 // A Directive is one parsed //loom:<name> <reason> comment.

@@ -56,26 +56,25 @@ var allowedRandFuncs = map[string]bool{
 // Key: import path -> function name (methods as "Type.Method").
 var wallClockAllowlist = map[string]map[string]string{
 	"loom/internal/serve": {
-		// Recovery and restream durations are reported in Stats for
-		// operators; placements never read them. The shutdown paths
-		// sleep in spin-wait backoffs while quiescing.
+		// The I/O shell only: the deterministic core (serve/state) is in
+		// DeterministicPackages and gets no allowlist at all. Recovery and
+		// restream durations are reported in Stats for operators;
+		// placements never read them.
 		"Open":                  "measures recover_ms for Stats.Persist",
 		"Server.launchRestream": "stamps restream start for DurationMS",
 		"Server.adopt":          "measures restream DurationMS for Stats",
-		"Server.shutdown":       "spin-wait backoff while quiescing; no state derived from time",
-		"Server.abortShutdown":  "spin-wait backoff during crash-shaped stop",
+		"Server.quiesce":        "spin-wait backoff while shutdown quiesces senders; no state derived from time",
 		"defaultAdmissionNow":   "token-bucket refill clock; injectable via AdmissionConfig.Now, placements never read it",
 		"defaultReanchorTimer":  "self-healing retry timer; injectable via ReanchorPolicy.Timer, placements never read it",
 	},
 	"loom/internal/experiments": {
 		// The experiment harness reports elapsed wall time next to the
 		// (seed-deterministic) quality numbers.
-		"measure":   "benchmark timing helper (duration + allocs)",
 		"Runner.E1": "reports partitioner elapsed time (paper Table 1)",
 		"Runner.E4": "reports one-pass vs multilevel elapsed time",
 	},
 	"loom/cmd/loom-bench": {
-		"main":     "benchmark driver timing",
+		"main":     "prints each experiment's elapsed wall time next to its table",
 		"runChaos": "reports wall time of the chaos sweep; schedules themselves are seed-deterministic",
 	},
 	"loom/examples/recommender": {

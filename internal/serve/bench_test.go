@@ -8,6 +8,7 @@ import (
 	"loom/internal/gen"
 	"loom/internal/graph"
 	"loom/internal/partition"
+	"loom/internal/serve/state"
 	"loom/internal/stream"
 )
 
@@ -39,7 +40,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trie, err := buildTrie(nil, nil, 0)
+		trie, err := state.BuildTrie(nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -102,6 +102,7 @@ func TestInjectedWedgeAndTypedErrors(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("repairing checkpoint: %v", err)
 	}
+	verify(t, s)
 	if got := s.Stats().Persist; got.Wedged || got.State != "healthy" {
 		t.Fatalf("persist state after repair = %+v, want healthy", got)
 	}
@@ -111,6 +112,7 @@ func TestInjectedWedgeAndTypedErrors(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	s.Abort()
 
 	fault.Disable()
@@ -183,6 +185,7 @@ func TestSelfHealingReanchor(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 }
 
 // TestSelfHealingBackoffDoublesAndCaps: failed re-anchor attempts double
@@ -209,6 +212,7 @@ func TestSelfHealingBackoffDoublesAndCaps(t *testing.T) {
 	if err := s.IngestSync(elems[len(elems)/2 : len(elems)/2+10]); err == nil {
 		t.Fatal("append failure not surfaced")
 	}
+	verify(t, s)
 	for i := 0; i < 3; i++ {
 		waitUntil(t, "retry armed", func() bool { return ft.armed() == i+1 })
 		ft.fire(i)
@@ -246,6 +250,7 @@ func TestSwapFailpointWedges(t *testing.T) {
 	if err := s.Restream(); err != nil {
 		t.Fatalf("restream: %v", err)
 	}
+	verify(t, s)
 	st := s.Stats()
 	if st.Restreams != 1 {
 		t.Fatalf("restreams = %d, want the swap adopted", st.Restreams)
@@ -257,6 +262,7 @@ func TestSwapFailpointWedges(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if s.Stats().Persist.Wedged {
 		t.Fatal("wedge survived the repairing checkpoint")
 	}
@@ -286,6 +292,7 @@ func TestBarrierFailpointRefusesCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after fault drained: %v", err)
 	}
+	verify(t, s)
 }
 
 // TestAcceptFailpointRefusesBeforeState: the accept failpoint refuses a
@@ -308,6 +315,7 @@ func TestAcceptFailpointRefusesBeforeState(t *testing.T) {
 	if err := s.IngestSync(batch); err != nil {
 		t.Fatalf("ingest after fault drained: %v", err)
 	}
+	verify(t, s)
 }
 
 // TestAdmissionControl drives the token bucket on an injected clock:
@@ -335,6 +343,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err := s.IngestSync(batch); err != nil {
 		t.Fatalf("burst within bucket refused: %v", err)
 	}
+	verify(t, s)
 	one := []stream.Element{{Kind: stream.VertexElement, V: 100, Label: "a"}}
 	err = s.IngestSync(one)
 	if !errors.Is(err, ErrOverloaded) {
@@ -353,6 +362,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err := s.IngestSync(one); err != nil {
 		t.Fatalf("ingest after refill refused: %v", err)
 	}
+	verify(t, s)
 }
 
 // TestHealthEndToEnd covers the three health states reachable without a

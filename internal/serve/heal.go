@@ -41,21 +41,34 @@ func defaultReanchorTimer(d time.Duration) <-chan time.Time { return time.After(
 // scheduled before the wedge cleared (or before a re-wedge) stays
 // harmless.
 func (s *Server) scheduleReanchor() {
-	if !s.heal.enabled || s.heal.retryCh != nil || !s.persist.wedged.Load() {
+	r := s.cfg.Reanchor
+	if !r.Enabled || s.heal.retryCh != nil || !s.persist.wedged.Load() {
 		return
 	}
 	if s.heal.backoff <= 0 {
-		s.heal.backoff = s.heal.initial
+		s.heal.backoff = r.Initial
 	}
-	s.heal.retryCh = s.heal.timer(s.heal.backoff)
+	s.heal.retryCh = r.Timer(s.heal.backoff)
 	s.heal.nextMS.Store(s.heal.backoff.Milliseconds())
 }
 
-// reanchor is one self-healing attempt: the same window-empty barrier an
-// explicit Checkpoint performs (drain, engine reseed, snapshot), minus
-// the barrier WAL record a wedged log cannot carry. On failure the
-// backoff doubles (capped) and the timer is re-armed; on success the
-// wedge is gone and ingest resumes. Runs on the writer goroutine.
+// persistState names the durability state machine's state for Stats and
+// Health.
+func (s *Server) persistState(wedged bool) string {
+	switch {
+	case wedged && s.cfg.Reanchor.Enabled:
+		return "re-anchoring"
+	case wedged:
+		return "wedged"
+	}
+	return "healthy"
+}
+
+// reanchor is one self-healing attempt: the same barrier and snapshot an
+// explicit Checkpoint performs (minus the barrier WAL record a wedged log
+// cannot carry). On failure the backoff doubles (capped) and the timer is
+// re-armed; on success the wedge is gone and ingest resumes. Runs on the
+// writer goroutine.
 func (s *Server) reanchor() {
 	s.heal.retryCh = nil
 	s.heal.nextMS.Store(0)
@@ -68,28 +81,11 @@ func (s *Server) reanchor() {
 	// attempts is bumped LAST on every path: once a caller observes the
 	// increment, the outcome (wedge cleared or next retry armed) is
 	// already settled — the chaos harness synchronizes on exactly this.
-	s.p.Finish()
-	if err := s.rebuildEngine(); err != nil {
-		// Unreachable with a validated config; leave the wedge for the
-		// next retry rather than serving a half-reseeded engine.
-		s.notePersistErr(err)
-		s.backoffAndRetry()
-		s.heal.attempts.Add(1)
-		return
-	}
-	s.sweep()
-	s.publish()
-	if err := s.writeSnapshot(); err != nil {
-		s.backoffAndRetry()
-		s.heal.attempts.Add(1)
-		return
+	defer s.heal.attempts.Add(1)
+	s.heal.backoff = min(s.heal.backoff*2, s.cfg.Reanchor.Max)
+	if err := s.checkpoint(); err != nil {
+		return // checkpoint re-armed the timer with the doubled backoff
 	}
 	s.heal.backoff = 0
 	s.heal.healed.Add(1)
-	s.heal.attempts.Add(1)
-}
-
-func (s *Server) backoffAndRetry() {
-	s.heal.backoff = min(s.heal.backoff*2, s.heal.max)
-	s.scheduleReanchor()
 }

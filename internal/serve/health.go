@@ -42,11 +42,7 @@ func (s *Server) Health() Health {
 		h.State = "stopped"
 		h.Reasons = append(h.Reasons, "server stopped")
 	case s.persist.wedged.Load():
-		if s.heal.enabled {
-			h.State = "re-anchoring"
-		} else {
-			h.State = "wedged"
-		}
+		h.State = s.persistState(true)
 		h.Reasons = append(h.Reasons, "persistence wedged: ingest refused until a snapshot re-anchors the WAL")
 	}
 	if 4*h.MailboxDepth > readyHighWater*h.MailboxCap {

@@ -26,7 +26,7 @@ import (
 // ordinary envelopes through the same admission gate, mailbox, writer
 // validation and WAL-append-before-ack as the text path. The envelope
 // additionally carries the raw frame payload so a fully-accepted batch
-// is logged without re-encoding (see Server.process).
+// is logged without re-encoding (see Server.commit).
 //
 // A frame that fails to read or decode is poisoned: IngestFrames stops
 // at it, returns a *BadFrameError (HTTP 400), and nothing from that
@@ -111,7 +111,6 @@ func (s *Server) startDecodeStage() {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s.decode.workers = n
 	// One frame being read ahead per worker plus one in hand keeps every
 	// worker busy without unbounded read-ahead.
 	s.decode.inflight = n + 1

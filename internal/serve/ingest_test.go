@@ -49,6 +49,7 @@ func feedFrames(t testing.TB, elems []stream.Element, bs int, servers ...*Server
 			if rerr := res.Err(); rerr != nil {
 				t.Fatalf("frame at %d: element errors: %v", i, rerr)
 			}
+			verify(t, s)
 		}
 	}
 }
@@ -268,8 +269,9 @@ func TestDecodeFailpoints(t *testing.T) {
 // TestBinaryIngestDedupFallsBackToTextWAL sends a frame containing
 // intra-frame duplicates: decode drops them (Deduped > 0), the writer
 // accepts the rest, and because the raw payload no longer describes
-// exactly the accepted elements the WAL record must take the text
-// fallback — proven by crash-recovering from it.
+// exactly the accepted elements the WAL record must be the accepted
+// subset re-encoded (the name predates the one written format: the
+// fallback used to be a text record) — proven by crash-recovering from it.
 func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
 	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
 	dir := t.TempDir()
@@ -302,7 +304,7 @@ func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
 
 	restarted, err := Open(cfg, PersistOptions{Dir: dir})
 	if err != nil {
-		t.Fatalf("recover from fallback record: %v", err)
+		t.Fatalf("recover from re-encoded record: %v", err)
 	}
 	defer restarted.Stop()
 	ri := restarted.Stats().Persist.Recover
@@ -313,8 +315,8 @@ func TestBinaryIngestDedupFallsBackToTextWAL(t *testing.T) {
 
 // TestBinaryIngestCrossFrameRejects sends the same vertex in two frames:
 // the writer rejects the duplicate (cross-frame dedup is its job), the
-// stream keeps going, and the partial batch is logged via the text
-// fallback so recovery replays cleanly.
+// stream keeps going, and the partial batch is logged as its accepted
+// subset re-encoded, so recovery replays cleanly.
 func TestBinaryIngestCrossFrameRejects(t *testing.T) {
 	cfg := persistConfig(nil, []graph.Label{"a", "b"}, 16, 2)
 	dir := t.TempDir()

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"loom/internal/checkpoint"
-	"loom/internal/graph"
-	"loom/internal/partition"
 )
 
 // PersistOptions configures the durability layer of Open.
@@ -108,7 +106,7 @@ func Open(cfg Config, opts PersistOptions) (*Server, error) {
 	}
 	info := RecoverInfo{SkippedSnapshots: rec.SkippedSnapshots, TornTail: rec.TornTail}
 	if rec.HasSnapshot {
-		if err := s.restoreSnapshot(rec); err != nil {
+		if err := s.st.Restore(rec.Meta, rec.Graph, rec.Assignment); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -117,106 +115,28 @@ func Open(cfg Config, opts PersistOptions) (*Server, error) {
 	}
 	s.publish()
 
-	// Replay the WAL tail through the writer's own code path. The loop is
-	// not running yet, so this goroutine is the writer; drift triggers
-	// stay quiet (maybeDriftRestream only runs from handle) and nothing
-	// is re-appended (the store is attached after the replay).
+	// Replay the WAL tail through the same ApplyRecord the live writer
+	// commits with. The loop is not running yet, so this goroutine is the
+	// writer; drift triggers stay quiet (only handle consults them) and
+	// nothing is re-appended (the store is attached after the replay).
 	for _, r := range rec.Tail {
 		info.ReplayedRecords++
-		switch r.Kind {
-		case checkpoint.RecordBatch, checkpoint.RecordBatchBinary:
-			// Binary batch records decode to the same pre-validated
-			// elements the writer accepted live (the store decoded the
-			// payload during the segment scan); both kinds replay through
-			// the identical apply path.
-			info.ReplayedElements += len(r.Elems)
-			if err := s.process(envelope{elems: r.Elems}); err != nil {
-				// The log holds only once-accepted elements; a rejection
-				// means log and snapshot disagree.
-				st.Close()
-				return nil, fmt.Errorf("serve: WAL replay (record %d): %w", r.Seq, err)
-			}
-		case checkpoint.RecordDrain:
-			s.p.Finish()
-		case checkpoint.RecordBarrier:
-			// A checkpoint barrier whose snapshot never landed: reproduce
-			// the drain and the engine reseed the live server performed.
-			s.p.Finish()
-			if err := s.rebuildEngine(); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("serve: WAL replay (barrier %d): %w", r.Seq, err)
-			}
-		default:
+		info.ReplayedElements += len(r.Elems)
+		if _, err := s.st.ApplyRecord(r.Kind, r.Elems); err != nil {
+			// The log holds only once-accepted elements; a rejection
+			// means log and snapshot disagree.
 			st.Close()
-			return nil, fmt.Errorf("serve: WAL replay: unknown record kind %d", r.Kind)
+			return nil, fmt.Errorf("serve: WAL replay (record %d): %w", r.Seq, err)
 		}
-		s.sweep()
 		s.publish()
 	}
 	info.RecoverMS = time.Since(start).Milliseconds()
 
 	s.persist.store = st
 	s.persist.walTail.Store(int64(info.ReplayedRecords))
-	s.persist.enabled = true
 	s.persist.dir = opts.Dir
 	s.persist.fsync = opts.Fsync
 	s.persist.recover = info
 	go s.loop()
 	return s, nil
-}
-
-// restoreSnapshot installs a recovered snapshot as the writer state, as
-// if the server had just performed the barrier the snapshot was taken at.
-func (s *Server) restoreSnapshot(rec *checkpoint.Recovered) error {
-	m := rec.Meta
-	if m.K != s.k {
-		return fmt.Errorf("serve: snapshot has k=%d, server is configured with k=%d", m.K, s.k)
-	}
-	if rec.Assignment.Len() != rec.Graph.NumVertices() {
-		return fmt.Errorf("serve: snapshot places %d of %d vertices (not a barrier snapshot)",
-			rec.Assignment.Len(), rec.Graph.NumVertices())
-	}
-	var missing error
-	rec.Assignment.EachVertex(func(v graph.VertexID, _ partition.ID) {
-		if missing == nil && !rec.Graph.HasVertex(v) {
-			missing = fmt.Errorf("serve: snapshot places vertex %d that is not in the graph", v)
-		}
-	})
-	if missing != nil {
-		return missing
-	}
-	if m.ExpectedVertices > 0 {
-		s.ccfg.Partition.ExpectedVertices = m.ExpectedVertices
-	}
-	np, err := s.seedEngine(rec.Assignment)
-	if err != nil {
-		return err
-	}
-	s.g = rec.Graph
-	s.p = np
-	s.tab = buildTable(np.Assignment())
-	s.pending = s.pending[:0]
-	if s.edgeStamp != nil {
-		// The snapshot codec carries no per-edge ages: stamp restored edges
-		// with the snapshot's logical time — the most recent moment they
-		// are known to have existed. WAL-tail replay then re-stamps any
-		// edge the tail touches through the normal apply path.
-		s.g.EachEdge(func(u, v graph.VertexID) bool {
-			s.edgeStamp[mkEdgeKey(u, v)] = m.Ingested
-			return true
-		})
-	}
-	s.cut, s.observed = m.Cut, m.Observed
-	s.ingested, s.rejected = m.Ingested, m.Rejected
-	s.restreams = m.Restreams
-	s.sinceRestream = m.SinceRestream
-	s.everRestream = m.EverRestream
-	s.vertsAtSwap = m.VertsAtSwap
-	// publish() pre-increments, so the first publish after restore lands
-	// on the snapshot's epoch — the same number an uninterrupted server
-	// showed at the barrier.
-	if m.Epoch > 0 {
-		s.epoch = m.Epoch - 1
-	}
-	return nil
 }

@@ -40,15 +40,37 @@ func feedBatches(t testing.TB, elems []stream.Element, bs int, servers ...*Serve
 			if err := s.IngestSync(elems[i:end]); err != nil {
 				t.Fatalf("ingest batch at %d: %v", i, err)
 			}
+			verify(t, s)
+		}
+	}
+}
+
+// verify fails the test unless each server's incremental core state
+// (drift counters, placement table, pending list, decay stamps) equals a
+// from-scratch recomputation. The test drivers call it after every
+// operation. A stopped server's loop has exited, so its core is read
+// directly.
+func verify(t testing.TB, servers ...*Server) {
+	t.Helper()
+	for _, s := range servers {
+		err := s.Verify()
+		if errors.Is(err, ErrStopped) {
+			<-s.done
+			err = s.st.Verify()
+		}
+		if err != nil {
+			t.Fatalf("verify: %v", err)
 		}
 	}
 }
 
 // normalizeStats blanks the fields that legitimately differ between a
-// recovered server and a control (live mailbox depth, persistence info).
+// recovered server and a control (live mailbox depth, persistence info,
+// the last restream's report).
 func normalizeStats(st Stats) Stats {
 	st.MailboxDepth = 0
 	st.Persist = nil
+	st.LastRestream = nil // not persisted, and it carries a wall-clock duration
 	return st
 }
 
@@ -56,6 +78,7 @@ func normalizeStats(st Stats) Stats {
 // vertex placement and the full frozen statistics.
 func assertSameServing(t testing.TB, g *graph.Graph, a, b *Server) {
 	t.Helper()
+	verify(t, a, b)
 	sa, sb := normalizeStats(a.Stats()), normalizeStats(b.Stats())
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("stats diverge:\n got %+v\nwant %+v", sa, sb)
@@ -95,9 +118,11 @@ func TestCrashRecoveryMatchesControl(t *testing.T) {
 	if err := control.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	if err := durable.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, durable)
 
 	// Crash. No Stop, no checkpoint: everything durable lives in the WAL.
 	durable.Abort()
@@ -125,9 +150,11 @@ func TestCrashRecoveryMatchesControl(t *testing.T) {
 	if err := control.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	if err := restarted.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, restarted)
 	assertSameServing(t, g, restarted, control)
 }
 
@@ -149,6 +176,7 @@ func TestCheckpointRestoreReplaysOnlyTail(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
+	verify(t, s)
 	// Three more batches after the snapshot form the tail.
 	const tailBatches = 3
 	const bs = 50
@@ -217,9 +245,11 @@ func TestCheckpointEquivalentToUninterruptedRun(t *testing.T) {
 	if err := crashed.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, crashed)
 	if err := control.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	feedBatches(t, elems[third:2*third], 97, crashed, control)
 	crashed.Abort()
 
@@ -236,9 +266,11 @@ func TestCheckpointEquivalentToUninterruptedRun(t *testing.T) {
 	if err := restarted.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, restarted)
 	if err := control.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	assertSameServing(t, g, restarted, control)
 }
 
@@ -298,6 +330,7 @@ func TestStopAdoptsInflightRestream(t *testing.T) {
 	if err := s.IngestSync(elementsOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 
 	restreamErr := make(chan error, 1)
 	go func() { restreamErr <- s.Restream() }()
@@ -345,6 +378,7 @@ func TestRestreamSwapWritesSnapshot(t *testing.T) {
 	if err := s.Restream(); err != nil {
 		t.Fatalf("restream: %v", err)
 	}
+	verify(t, s)
 	if n := s.Stats().Persist.Snapshots; n != 1 {
 		t.Fatalf("snapshots written = %d, want 1 (at the swap)", n)
 	}
@@ -435,6 +469,7 @@ func TestCheckpointUnderConcurrentIngest(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint %d during ingest: %v", i, err)
 		}
+		verify(t, s)
 		checkpoints++
 	}
 	<-done
@@ -444,6 +479,7 @@ func TestCheckpointUnderConcurrentIngest(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	want := s.Stats()
 	if int(want.Persist.Snapshots) < checkpoints {
 		t.Fatalf("snapshots = %d, want >= %d", want.Persist.Snapshots, checkpoints)
@@ -488,10 +524,12 @@ func TestBarrierRecordReplay(t *testing.T) {
 	if err := control.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	feedBatches(t, elems[half:], 97, control)
 	if err := control.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 
 	// Hand-build the WAL a failed-snapshot checkpoint leaves behind: the
 	// same batches with a bare barrier record in the middle, no snapshot.
@@ -551,9 +589,11 @@ func TestWedgeStateMachine(t *testing.T) {
 	if err := s.IngestSync(elems[half : half+10]); err == nil {
 		t.Fatal("wedged server accepted a batch")
 	}
+	verify(t, s)
 	if err := s.Drain(); err == nil {
 		t.Fatal("wedged server accepted a drain")
 	}
+	verify(t, s)
 	st := s.Stats()
 	if st.Persist == nil || !st.Persist.Wedged {
 		t.Fatalf("Stats does not report the wedge: %+v", st.Persist)
@@ -567,6 +607,7 @@ func TestWedgeStateMachine(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("repairing checkpoint: %v", err)
 	}
+	verify(t, s)
 	if s.Stats().Persist.Wedged {
 		t.Fatal("wedge survived a successful checkpoint")
 	}
@@ -574,6 +615,7 @@ func TestWedgeStateMachine(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	want := s.Stats()
 	s.Abort()
 
@@ -620,6 +662,7 @@ func TestOpenRefusesKMismatch(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	s.Stop()
 
 	bad := persistConfig(w, alphabet, g.NumVertices(), 4)
@@ -645,6 +688,7 @@ func TestCodecUnsafeLabelsRejected(t *testing.T) {
 	if err := s.IngestSync(bad); err == nil {
 		t.Fatal("expected element errors for codec-unsafe labels")
 	}
+	verify(t, s)
 	st := s.Stats()
 	if st.Rejected != 3 || st.Vertices != 1 {
 		t.Fatalf("rejected=%d vertices=%d, want 3/1", st.Rejected, st.Vertices)

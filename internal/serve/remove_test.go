@@ -98,9 +98,11 @@ func TestRemovalSemantics(t *testing.T) {
 	if err := s.IngestSync(elems); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
+	verify(t, s)
 	if err := s.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	verify(t, s)
 
 	// Removing a vertex or edge that is not in the served graph must be
 	// rejected (and counted), not silently absorbed.
@@ -108,9 +110,11 @@ func TestRemovalSemantics(t *testing.T) {
 	if err := s.IngestSync([]stream.Element{{Kind: stream.RemoveVertexElement, V: 1 << 40}}); err == nil {
 		t.Fatal("removal of unknown vertex was accepted")
 	}
+	verify(t, s)
 	if err := s.IngestSync([]stream.Element{{Kind: stream.RemoveEdgeElement, V: sticky[0], U: 1 << 40}}); err == nil {
 		t.Fatal("removal of unknown edge was accepted")
 	}
+	verify(t, s)
 	if st := s.Stats(); st.Rejected != before.Rejected+2 {
 		t.Fatalf("rejected = %d, want %d", st.Rejected, before.Rejected+2)
 	}
@@ -195,15 +199,18 @@ func TestWhereNotFoundAfterHandleRecycle(t *testing.T) {
 	if err := s.IngestSync(base); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if _, ok := s.Where(3); !ok {
 		t.Fatal("vertex 3 unplaced after drain")
 	}
 	if err := s.IngestSync([]stream.Element{{Kind: stream.RemoveVertexElement, V: 3}}); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if _, ok := s.Where(3); ok {
 		t.Fatal("Where(3) still resolves right after removal")
 	}
@@ -219,9 +226,11 @@ func TestWhereNotFoundAfterHandleRecycle(t *testing.T) {
 	if err := s.IngestSync(next); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if p, ok := s.Where(3); ok {
 		t.Fatalf("Where(3) = %v through a recycled handle", p)
 	}
@@ -241,6 +250,7 @@ func TestWhereNotFoundAfterHandleRecycle(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, s)
 	if _, ok := s.Where(3); !ok {
 		t.Fatal("re-added vertex 3 unplaced after drain")
 	}
@@ -286,9 +296,11 @@ func TestChurnCrashRecoveryMatchesControl(t *testing.T) {
 	if err := control.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, control)
 	if err := restarted.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	verify(t, restarted)
 	assertSameServing(t, g, restarted, control)
 	for _, v := range sticky {
 		if p, ok := restarted.Where(v); ok {
@@ -321,6 +333,7 @@ func TestSnapshotEveryBatchesBoundsWALTail(t *testing.T) {
 		if err := s.IngestSync(elems[i:end]); err != nil {
 			t.Fatalf("ingest batch at %d: %v", i, err)
 		}
+		verify(t, s)
 		batches++
 	}
 

@@ -13,6 +13,7 @@ import (
 	"loom/internal/graph"
 	"loom/internal/partition"
 	"loom/internal/query"
+	"loom/internal/serve/state"
 	"loom/internal/stream"
 )
 
@@ -54,7 +55,7 @@ func TestServerMatchesBatchRun(t *testing.T) {
 		Threshold:  0.05,
 	}
 
-	trie, err := buildTrie(w, alphabet, 0)
+	trie, err := state.BuildTrie(w, alphabet, 0)
 	if err != nil {
 		t.Fatalf("trie: %v", err)
 	}

@@ -12,22 +12,25 @@
 // LOOM, ReLDG or ReFennel) over a detached graph snapshot, then atomically
 // swaps in the new assignment together with a migration plan.
 //
-// The design splits state three ways:
+// The process splits into a deterministic core and an I/O shell:
 //
-//   - Writer-owned: the canonical graph, the live core.Partitioner, the
-//     drift counters. Touched only by the ingest loop goroutine.
-//   - Published: Snapshot behind an atomic.Pointer. Readers load the
-//     pointer and answer from the write-once placement table.
-//   - Background: an in-flight restream works on fully detached clones
-//     (fresh interners, private trie) because the engine's identity layer
-//     is not concurrency-safe; results return over a channel and are
-//     adopted by the writer.
+//   - Core: internal/serve/state.State — canonical graph, live
+//     core.Partitioner, placement table, drift counters and restream
+//     bookkeeping as a single-threaded state machine (see its package
+//     doc). Touched only by the ingest loop goroutine.
+//   - Shell: Server — mailbox and replies, WAL and snapshot files and the
+//     wedge, heal timer, admission, decode pool, restream goroutine. It
+//     drives the core and publishes what the core returns behind an
+//     atomic.Pointer that readers load and answer from.
+//   - Background: an in-flight restream works on a fully detached
+//     state.Job (fresh interners, private trie) because the engine's
+//     identity layer is not concurrency-safe; its outcome returns over a
+//     channel and is adopted by the writer.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,11 +39,9 @@ import (
 	"loom/internal/core"
 	"loom/internal/fault"
 	"loom/internal/graph"
-	"loom/internal/metrics"
-	"loom/internal/motif"
 	"loom/internal/partition"
 	"loom/internal/query"
-	"loom/internal/signature"
+	"loom/internal/serve/state"
 	"loom/internal/stream"
 )
 
@@ -58,8 +59,8 @@ const (
 	// drainBurst bounds how many queued batches one loop cycle absorbs
 	// before republishing the snapshot.
 	drainBurst = 32
-	// maxReportedErrors caps the per-batch element errors joined into the
-	// IngestSync result; the rest are only counted.
+	// maxReportedErrors caps the per-stream batch errors FrameIngest
+	// keeps; the rest are only counted.
 	maxReportedErrors = 8
 )
 
@@ -78,59 +79,17 @@ var ErrWedged = errors.New("serve: persistence wedged")
 // data directory (New instead of Open).
 var ErrNoPersistence = errors.New("serve: server has no persistence configured")
 
-// DriftConfig parameterises the drift monitor and the background restream
-// it triggers.
-type DriftConfig struct {
-	// MaxCutFraction triggers a restream when cut edges / observed
-	// assigned-assigned edges exceeds it. Zero disables the cut trigger.
-	// Pair it with MaxImbalance: an oversized capacity constraint can
-	// collapse a connected stream into one partition, where the cut is a
-	// legitimate zero and only the imbalance trigger fires.
-	MaxCutFraction float64
-	// MaxImbalance triggers a restream when max partition size over ideal
-	// exceeds it (1.0 = perfect balance). Zero disables the trigger.
-	MaxImbalance float64
-	// MinAssigned gates both triggers until this many vertices are
-	// assigned. Zero defaults to DefaultMinAssigned.
-	MinAssigned int
-	// CooldownAssigned is the number of newly assigned vertices required
-	// between restreams. Zero defaults to MinAssigned.
-	CooldownAssigned int
-	// Passes is the number of restream passes per trigger (default 1).
-	Passes int
-	// Priority reorders the stream between passes (prioritized
-	// restreaming).
-	Priority partition.Priority
-	// SelfWeight is the prior self-affinity bonus (zero defaults to 1).
-	SelfWeight float64
-	// Heuristic picks the restream engine: "loom" (workload-aware, the
-	// default), "ldg" (ReLDG) or "fennel" (ReFennel).
-	Heuristic string
-	// WindowEdges sizes the drift estimator window in observed
-	// (assigned-assigned) edges. When set, the cut trigger compares the
-	// cut fraction of the last completed window instead of the lifetime
-	// counters, so a long well-partitioned prefix cannot mask fresh
-	// drift. Zero keeps the lifetime estimator.
-	WindowEdges int
-	// MaxMigrationFraction bounds the data movement an automatically
-	// triggered restream may impose: if the finished plan would move more
-	// than this fraction of the assigned vertices, the swap is refused
-	// and the old assignment keeps serving (the cooldown then spaces out
-	// the next attempt). Manual restreams are operator decisions and
-	// exempt. Zero means unlimited.
-	MaxMigrationFraction float64
-	// MaxMessagesPerQuery triggers a workload restream when the served
-	// queries' cross-shard message rate (messages per query, averaged
-	// over QueryWindow queries) exceeds it. The serve layer does not see
-	// queries itself: the query engine (internal/qserve) reads this via
-	// DriftConfig() and calls TriggerRestream("workload"). Zero disables
-	// the trigger.
-	MaxMessagesPerQuery float64
-	// QueryWindow is the number of served queries per message-rate
-	// window for the MaxMessagesPerQuery trigger. Zero lets the query
-	// engine pick its default.
-	QueryWindow int
-}
+// The core's data types, under the names this package exports them by.
+type (
+	// DriftConfig parameterises the drift monitor and its restreams.
+	DriftConfig = state.DriftConfig
+	// View is a detached copy of the assigned serving state (ExportView).
+	View = state.View
+	// Move records one vertex whose shard changed at a restream swap.
+	Move = state.Move
+	// RestreamReport describes one background restream.
+	RestreamReport = state.RestreamReport
+)
 
 // Config parameterises a Server.
 type Config struct {
@@ -175,11 +134,10 @@ type Config struct {
 	// DecaySpan ages edges out of restream scoring: when > 0, an edge
 	// whose last add is more than DecaySpan accepted elements in the past
 	// is excluded from the detached clone a background restream scores
-	// over (the same logical-time span semantics stream.TimedWindow
-	// applies to vertex residency — element counts, never the wall
-	// clock). The canonical graph and the served placements are
-	// unaffected; only restream scoring forgets stale structure. Zero
-	// keeps every edge forever.
+	// over (a logical-time span: element counts, never the wall clock).
+	// The canonical graph and the served placements are unaffected; only
+	// restream scoring forgets stale structure. Zero keeps every edge
+	// forever.
 	DecaySpan int64
 }
 
@@ -190,17 +148,18 @@ const (
 	ctrlNone ctrlKind = iota
 	ctrlDrain
 	ctrlRestream
-	ctrlExport
-	ctrlView
 	ctrlCheckpoint
+	ctrlRun
 )
 
 type envelope struct {
-	elems  []stream.Element
-	kind   ctrlKind
-	reply  chan error                 // buffered(1) when non-nil
-	replyA chan *partition.Assignment // ctrlExport only, buffered(1)
-	replyV chan *View                 // ctrlView only, buffered(1)
+	elems []stream.Element
+	kind  ctrlKind
+	// reply, buffered(1) when non-nil, receives the envelope's one answer.
+	reply chan error
+	// run is the ctrlRun payload: a read of the core that must happen on
+	// the writer goroutine (Export, ExportView, Verify).
+	run func(*state.State) error
 	// trigger labels a ctrlRestream request ("manual", "workload", ...)
 	// for the restream report and the migration-budget exemption.
 	trigger string
@@ -215,33 +174,15 @@ type envelope struct {
 	rawExact bool
 }
 
-// restreamOutcome carries a finished background restream back to the
-// writer.
-type restreamOutcome struct {
-	res     *partition.RestreamResult
-	err     error
-	trigger string
-	started time.Time
-	// trie is the restream's private TPSTry++ (loom heuristic only): on
-	// adoption it becomes the live trie, so the pattern tracker follows
-	// the workload the restream was scored against.
-	trie *motif.Trie
-	// workload records which workload the loom heuristic scored against:
-	// "static" (Config.Workload) or "observed" (live workload source).
-	// Empty for ldg/fennel.
-	workload string
-}
-
 // Server is an online partition server. Ingest/IngestSync feed the graph
 // stream; Where/Route/Stats answer from lock-free snapshots on any number
 // of goroutines; Stop shuts the pipeline down gracefully.
 type Server struct {
-	cfg  Config
-	trie *motif.Trie
-	k    int
+	cfg Config
+	k   int
 
 	mail chan envelope
-	cur  atomic.Pointer[Snapshot]
+	cur  atomic.Pointer[state.Published]
 	quit chan struct{}
 	done chan struct{}
 	once sync.Once
@@ -252,11 +193,11 @@ type Server struct {
 	inflight atomic.Int64
 
 	// persist is the durability layer; persist.store is nil on a server
-	// built without a data directory. The store itself is writer-owned;
-	// the counters are atomics so Stats can read them from any goroutine.
+	// built without a data directory and never changes once the loop
+	// runs. The store itself is writer-owned; the counters are atomics so
+	// Stats can read them from any goroutine.
 	persist struct {
 		store      *checkpoint.Store
-		enabled    bool
 		dir        string
 		fsync      checkpoint.SyncPolicy
 		walRecords atomic.Int64
@@ -284,7 +225,7 @@ type Server struct {
 	// atomic pointer because the installer (query engine) and the
 	// consumer (writer goroutine, at restream launch) are different
 	// goroutines.
-	workloadSrc atomic.Pointer[workloadSource]
+	workloadSrc atomic.Pointer[func() *query.Workload]
 
 	// decode is the parallel binary-frame decode stage (ingest.go):
 	// workers start lazily on the first IngestFrames call and exit with
@@ -294,16 +235,13 @@ type Server struct {
 		start    sync.Once
 		jobs     chan *frameJob
 		pool     sync.Pool
-		workers  int
 		inflight int
 	}
 
-	// heal is the self-healing re-anchor state. The atomics are readable
-	// from any goroutine (Stats); everything else is writer-owned.
+	// heal is the self-healing re-anchor state (policy: cfg.Reanchor,
+	// defaults applied). The atomics are readable from any goroutine
+	// (Stats); everything else is writer-owned.
 	heal struct {
-		enabled      bool
-		initial, max time.Duration
-		timer        func(time.Duration) <-chan time.Time
 		// retryCh is the armed retry timer; nil (blocking forever in the
 		// loop select) when no retry is pending.
 		retryCh <-chan time.Time
@@ -315,102 +253,24 @@ type Server struct {
 		nextMS   atomic.Int64
 	}
 
-	// Writer-owned state below: touched only by the loop goroutine.
-	g *graph.Graph
-	p *core.Partitioner
-	// ccfg is the effective core configuration: cfg.Core with defaults
-	// applied and ExpectedVertices grown at restream swaps. Engine
-	// rebuilds (restream adoption, checkpoints, recovery) all construct
-	// from it, and snapshots record it so a recovered engine scores with
-	// the same capacity constraint.
-	ccfg     core.Config
-	tab      *table
-	pending  []graph.VertexID // ingested, not yet mirrored into tab
-	cut      int              // cut edges among assigned-assigned pairs
-	observed int              // assigned-assigned edges seen
-	epoch    uint64
-	ingested int64
-	rejected int64
-	// edgeStamp records each live edge's last-add logical time (accepted
-	// element count) for Config.DecaySpan; nil when decay is off. Only
-	// read at restream launch, where the live graph's deterministic edge
-	// iteration drives the probes, so map order never leaks.
-	edgeStamp map[edgeKey]int64
+	// Writer-owned below: touched only by the loop goroutine. st is the
+	// deterministic core; the rest is the shell's own bookkeeping.
+	st *state.State
 	// batchesSinceSnap counts accepted data batches toward the
 	// Config.SnapshotEveryBatches periodic checkpoint trigger.
 	batchesSinceSnap int
-	// walScratch accumulates a batch's accepted elements for the WAL.
-	walScratch []stream.Element
-	// wantSnapshot asks handle to write a snapshot after the next
-	// publish; every snapWaits entry (Checkpoint callers) receives the
-	// write error.
-	wantSnapshot bool
-	snapWaits    []chan error
-
-	restreaming   bool
-	everRestream  bool // a restream has been launched at least once
-	sinceRestream int  // vertices assigned since the last restream event
-	restreams     int
-	lastRestream  *RestreamReport
+	// walEnc and walScratch encode the accepted subset of a batch whose
+	// frame payload cannot be logged verbatim.
+	walEnc     stream.FrameEncoder
+	walScratch []byte
+	// dirty is set by every mutation of the core and cleared by publish:
+	// a cycle that ends clean opens no new epoch.
+	dirty bool
+	// The background restream: its outcome channel, its launch time and
+	// the Restream caller to release at adoption.
+	restreamCh    chan *state.Outcome
+	restreamStart time.Time
 	manualWait    chan error
-	restreamCh    chan *restreamOutcome
-
-	// Windowed drift estimator (Drift.WindowEdges > 0): winStart* mark
-	// the counters at the open window's start; winRate/winValid hold the
-	// last completed window's cut fraction.
-	winStartCut      int
-	winStartObserved int
-	winRate          float64
-	winValid         bool
-	// vertsAtSwap is the vertex count at the last restream swap, the
-	// baseline of the adaptive ExpectedVertices re-plan (0 before the
-	// first swap).
-	vertsAtSwap int
-}
-
-// workloadSource wraps the observed-workload callback for atomic storage.
-type workloadSource struct {
-	fn func() *query.Workload
-}
-
-// edgeKey is an undirected edge normalised for the decay stamp map.
-type edgeKey struct{ a, b graph.VertexID }
-
-func mkEdgeKey(u, v graph.VertexID) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
-// View is a detached copy of the assigned portion of the serving state:
-// every vertex in Graph has a placement in Assignment. Window residents
-// (ingested but not yet placed) are excluded, so a View can always back a
-// sharded store. The copy shares nothing with the server — readers may
-// keep it indefinitely.
-type View struct {
-	Graph      *graph.Graph
-	Assignment *partition.Assignment
-	// Epoch is the published epoch the view was cut at.
-	Epoch uint64
-}
-
-// buildTrie captures w (possibly nil) into a fresh TPSTry++ with its own
-// signature factory and label interner.
-func buildTrie(w *query.Workload, alphabet []graph.Label, maxMotif int) (*motif.Trie, error) {
-	var f *signature.Factory
-	if len(alphabet) > 0 {
-		f = signature.NewFactoryForAlphabet(alphabet)
-	} else {
-		f = signature.NewFactory()
-	}
-	t := motif.New(f, motif.Options{MaxMotifVertices: maxMotif})
-	if w != nil {
-		if err := w.BuildTrie(t); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // New starts a Server and its ingest loop.
@@ -446,31 +306,17 @@ func newServer(cfg Config) (*Server, error) {
 	if cfg.Drift.Passes == 0 {
 		cfg.Drift.Passes = 1
 	}
-	switch cfg.Drift.Heuristic {
-	case "", "loom", "ldg", "fennel":
-	default:
-		return nil, fmt.Errorf("serve: unknown restream heuristic %q", cfg.Drift.Heuristic)
-	}
-	trie, err := buildTrie(cfg.Workload, cfg.Alphabet, cfg.MaxMotifVertices)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.New(cfg.Core, trie)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{
-		cfg:        cfg,
-		trie:       trie,
-		k:          cfg.Core.Partition.K,
-		mail:       make(chan envelope, cfg.Mailbox),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		g:          graph.New(),
-		p:          p,
-		ccfg:       cfg.Core,
-		tab:        newTable(0),
-		restreamCh: make(chan *restreamOutcome, 1),
+	if r := &cfg.Reanchor; r.Enabled {
+		if r.Initial <= 0 {
+			r.Initial = DefaultReanchorInitial
+		}
+		if r.Max <= 0 {
+			r.Max = DefaultReanchorMax
+		}
+		r.Max = max(r.Max, r.Initial)
+		if r.Timer == nil {
+			r.Timer = defaultReanchorTimer
+		}
 	}
 	if cfg.Admission.Rate < 0 {
 		return nil, fmt.Errorf("serve: admission rate %v < 0", cfg.Admission.Rate)
@@ -481,32 +327,24 @@ func newServer(cfg Config) (*Server, error) {
 	if cfg.SnapshotEveryBatches < 0 {
 		return nil, fmt.Errorf("serve: snapshot every %d batches < 0", cfg.SnapshotEveryBatches)
 	}
-	if cfg.DecaySpan < 0 {
-		return nil, fmt.Errorf("serve: decay span %d < 0", cfg.DecaySpan)
+	st, err := state.New(state.Config{
+		Core: cfg.Core, Workload: cfg.Workload, Alphabet: cfg.Alphabet,
+		MaxMotifVertices: cfg.MaxMotifVertices, Drift: cfg.Drift, DecaySpan: cfg.DecaySpan,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.DecaySpan > 0 {
-		s.edgeStamp = make(map[edgeKey]int64)
+	s := &Server{
+		cfg:        cfg,
+		k:          cfg.Core.Partition.K,
+		mail:       make(chan envelope, cfg.Mailbox),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
+		st:         st,
+		restreamCh: make(chan *state.Outcome, 1),
 	}
 	if cfg.Admission.Rate > 0 {
 		s.admission = newTokenBucket(cfg.Admission)
-	}
-	if cfg.Reanchor.Enabled {
-		s.heal.enabled = true
-		s.heal.initial = cfg.Reanchor.Initial
-		if s.heal.initial <= 0 {
-			s.heal.initial = DefaultReanchorInitial
-		}
-		s.heal.max = cfg.Reanchor.Max
-		if s.heal.max <= 0 {
-			s.heal.max = DefaultReanchorMax
-		}
-		if s.heal.max < s.heal.initial {
-			s.heal.max = s.heal.initial
-		}
-		s.heal.timer = cfg.Reanchor.Timer
-		if s.heal.timer == nil {
-			s.heal.timer = defaultReanchorTimer
-		}
 	}
 	return s, nil
 }
@@ -519,15 +357,20 @@ func (s *Server) Ingest(elems []stream.Element) error {
 	return s.send(envelope{elems: elems})
 }
 
-// IngestSync enqueues a batch and waits until the writer has processed it
-// and published the resulting snapshot, returning the per-element errors
-// (joined, capped) if any were rejected.
-func (s *Server) IngestSync(elems []stream.Element) error {
-	env := envelope{elems: elems, reply: make(chan error, 1)}
+// call enqueues env and waits for the writer's answer to it.
+func (s *Server) call(env envelope) error {
+	env.reply = make(chan error, 1)
 	if err := s.send(env); err != nil {
 		return err
 	}
 	return <-env.reply
+}
+
+// IngestSync enqueues a batch and waits until the writer has processed it
+// and published the resulting snapshot, returning the per-element errors
+// (joined, capped) if any were rejected.
+func (s *Server) IngestSync(elems []stream.Element) error {
+	return s.call(envelope{elems: elems})
 }
 
 // Flush waits until everything enqueued before it has been processed and
@@ -538,13 +381,7 @@ func (s *Server) Flush() error { return s.IngestSync(nil) }
 // stream had ended. Placement quality for those vertices may suffer (they
 // are assigned before their remaining adjacency arrives); intended for
 // end-of-stream, checkpointing, or tests. Ingest may continue afterwards.
-func (s *Server) Drain() error {
-	env := envelope{kind: ctrlDrain, reply: make(chan error, 1)}
-	if err := s.send(env); err != nil {
-		return err
-	}
-	return <-env.reply
-}
+func (s *Server) Drain() error { return s.call(envelope{kind: ctrlDrain}) }
 
 // Restream requests a restream now, regardless of drift thresholds, and
 // waits for the new assignment to be adopted. It fails if a restream is
@@ -559,11 +396,7 @@ func (s *Server) TriggerRestream(trigger string) error {
 	if trigger == "" {
 		trigger = "manual"
 	}
-	env := envelope{kind: ctrlRestream, trigger: trigger, reply: make(chan error, 1)}
-	if err := s.send(env); err != nil {
-		return err
-	}
-	return <-env.reply
+	return s.call(envelope{kind: ctrlRestream, trigger: trigger})
 }
 
 // SetWorkloadSource installs (or, with nil, removes) a live workload
@@ -578,7 +411,7 @@ func (s *Server) SetWorkloadSource(fn func() *query.Workload) {
 		s.workloadSrc.Store(nil)
 		return
 	}
-	s.workloadSrc.Store(&workloadSource{fn: fn})
+	s.workloadSrc.Store(&fn)
 }
 
 // DriftConfig returns the effective drift configuration (defaults
@@ -588,34 +421,32 @@ func (s *Server) DriftConfig() DriftConfig { return s.cfg.Drift }
 
 // Export returns an independent copy of the current assignment (assigned
 // vertices only).
-func (s *Server) Export() (*partition.Assignment, error) {
-	env := envelope{kind: ctrlExport, replyA: make(chan *partition.Assignment, 1)}
-	if err := s.send(env); err != nil {
-		return nil, err
-	}
-	a := <-env.replyA
-	if a == nil {
-		// An abort raced the request: the envelope was refused.
-		return nil, ErrStopped
-	}
-	return a, nil
+func (s *Server) Export() (a *partition.Assignment, err error) {
+	err = s.call(envelope{kind: ctrlRun, run: func(st *state.State) error {
+		a = st.Assignment().Clone()
+		return nil
+	}})
+	return a, err
 }
 
 // ExportView returns a detached copy of the assigned portion of the
 // serving state — graph and placements — suitable for building a sharded
 // query store (internal/store). Window residents are excluded: queries
 // over the view see the placed portion of the graph only.
-func (s *Server) ExportView() (*View, error) {
-	env := envelope{kind: ctrlView, replyV: make(chan *View, 1)}
-	if err := s.send(env); err != nil {
-		return nil, err
-	}
-	v := <-env.replyV
-	if v == nil {
-		// An abort raced the request: the envelope was refused.
-		return nil, ErrStopped
-	}
-	return v, nil
+func (s *Server) ExportView() (v *View, err error) {
+	err = s.call(envelope{kind: ctrlRun, run: func(st *state.State) error {
+		v = st.View()
+		return nil
+	}})
+	return v, err
+}
+
+// Verify recomputes the core's incremental state (drift counters,
+// placement table, pending list, decay stamps) from scratch on the writer
+// and reports the first disagreement. Tests and the chaos harness call it
+// after every operation.
+func (s *Server) Verify() error {
+	return s.call(envelope{kind: ctrlRun, run: (*state.State).Verify})
 }
 
 // Checkpoint forces a durable snapshot now. Like Drain, it assigns every
@@ -628,11 +459,7 @@ func (s *Server) Checkpoint() error {
 	if s.persist.store == nil {
 		return ErrNoPersistence
 	}
-	env := envelope{kind: ctrlCheckpoint, reply: make(chan error, 1)}
-	if err := s.send(env); err != nil {
-		return err
-	}
-	return <-env.reply
+	return s.call(envelope{kind: ctrlCheckpoint})
 }
 
 func (s *Server) send(env envelope) error {
@@ -697,7 +524,7 @@ func (s *Server) Abort() {
 //
 //loom:hotpath
 func (s *Server) Where(v graph.VertexID) (partition.ID, bool) {
-	return s.cur.Load().tab.get(v)
+	return s.cur.Load().Table.Get(v)
 }
 
 // RouteDecision is the outcome of routing a query's anchor vertices.
@@ -717,11 +544,11 @@ type RouteDecision struct {
 //
 //loom:hotpath
 func (s *Server) Route(vs ...graph.VertexID) RouteDecision {
-	tab := s.cur.Load().tab
+	tab := s.cur.Load().Table
 	//loom:allocok PerPartition escapes to the caller by contract; one small slice per routed query
 	d := RouteDecision{Target: partition.Unassigned, PerPartition: make([]int, s.k)}
 	for _, v := range vs {
-		p, ok := tab.get(v)
+		p, ok := tab.Get(v)
 		if !ok {
 			d.Unknown++
 			continue
@@ -742,9 +569,7 @@ func (s *Server) Route(vs ...graph.VertexID) RouteDecision {
 // Stats returns the statistics frozen at the last published epoch, plus
 // the live mailbox depth. Safe for any goroutine.
 func (s *Server) Stats() Stats {
-	st := s.cur.Load().stats
-	st.MailboxDepth = len(s.mail)
-	st.MailboxCap = cap(s.mail)
+	st := Stats{Stats: s.cur.Load().Stats, MailboxDepth: len(s.mail), MailboxCap: cap(s.mail)}
 	if s.admission != nil {
 		st.Admission = &AdmissionStats{
 			Rate:    s.admission.rate,
@@ -752,29 +577,22 @@ func (s *Server) Stats() Stats {
 			Refused: s.admission.refused.Load(),
 		}
 	}
-	if s.persist.enabled {
+	if s.persist.store != nil {
 		ps := &PersistStats{
-			Enabled:    true,
-			Dir:        s.persist.dir,
-			Fsync:      s.persist.fsync.String(),
-			WALRecords: s.persist.walRecords.Load(),
-			WALBytes:   s.persist.walBytes.Load(),
-			WALTail:    s.persist.walTail.Load(),
-			Snapshots:  s.persist.snapshots.Load(),
-			Wedged:     s.persist.wedged.Load(),
-			Recover:    s.persist.recover,
+			Enabled:          true,
+			Dir:              s.persist.dir,
+			Fsync:            s.persist.fsync.String(),
+			WALRecords:       s.persist.walRecords.Load(),
+			WALBytes:         s.persist.walBytes.Load(),
+			WALTail:          s.persist.walTail.Load(),
+			Snapshots:        s.persist.snapshots.Load(),
+			Wedged:           s.persist.wedged.Load(),
+			Recover:          s.persist.recover,
+			ReanchorAttempts: s.heal.attempts.Load(),
+			Reanchors:        s.heal.healed.Load(),
+			NextRetryMS:      s.heal.nextMS.Load(),
 		}
-		switch {
-		case ps.Wedged && s.heal.enabled:
-			ps.State = "re-anchoring"
-		case ps.Wedged:
-			ps.State = "wedged"
-		default:
-			ps.State = "healthy"
-		}
-		ps.ReanchorAttempts = s.heal.attempts.Load()
-		ps.Reanchors = s.heal.healed.Load()
-		ps.NextRetryMS = s.heal.nextMS.Load()
+		ps.State = s.persistState(ps.Wedged)
 		if e := s.persist.lastErr.Load(); e != nil {
 			ps.LastErr = *e
 		}
@@ -783,8 +601,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// loop is the single writer: it owns the graph, the partitioner and the
-// drift counters.
+// loop is the single writer: the only goroutine that touches the core.
 func (s *Server) loop() {
 	defer close(s.done)
 	for {
@@ -797,210 +614,157 @@ func (s *Server) loop() {
 			// nil when no retry is pending (blocks forever).
 			s.reanchor()
 		case <-s.quit:
-			if s.aborted.Load() {
-				s.abortShutdown()
-			} else {
-				s.shutdown()
-			}
+			s.shutdown(s.aborted.Load())
 			return
 		}
 	}
 }
 
 // handle processes env plus an opportunistic burst of already-queued
-// batches, sweeps fresh assignments into the table, publishes one snapshot
-// and answers the drift monitor.
+// batches, publishes one snapshot, releases the replies and answers the
+// drift monitor. Reads of the core (ctrlRun) run after the publish,
+// against a settled core, and a cycle of nothing but reads opens no
+// epoch.
 func (s *Server) handle(env envelope) {
 	type pendingReply struct {
 		ch  chan error
 		err error
 	}
 	var replies []pendingReply
+	var reads []envelope
 	add := func(e envelope) {
-		err := s.process(e)
-		// Restream replies wait for adoption; checkpoint replies wait for
-		// the snapshot write below.
-		if e.reply != nil && e.kind != ctrlRestream && e.kind != ctrlCheckpoint {
+		if e.kind == ctrlRun {
+			reads = append(reads, e)
+		} else if parked, err := s.process(e); !parked && e.reply != nil {
 			replies = append(replies, pendingReply{ch: e.reply, err: err})
 		}
 	}
 	add(env)
-	// A checkpoint ends the burst: the snapshot below needs the cycle to
-	// close at its window-empty barrier — coalescing further batches
-	// behind it would re-populate the window before the write.
-	for burst := 0; burst < drainBurst && env.kind != ctrlCheckpoint; burst++ {
+	for burst := 0; burst < drainBurst; burst++ {
 		select {
 		case next := <-s.mail:
 			add(next)
-			if next.kind == ctrlCheckpoint {
-				burst = drainBurst
-			}
 		default:
 			burst = drainBurst
 		}
 	}
 	// Periodic checkpoint (Config.SnapshotEveryBatches): bound the WAL
 	// tail by re-anchoring the log on a fresh snapshot after every N
-	// accepted data batches — the same drain + barrier + reseed cycle an
-	// explicit Checkpoint performs.
+	// accepted data batches — the same checkpoint an explicit Checkpoint
+	// performs, with nobody waiting on it.
 	if n := s.cfg.SnapshotEveryBatches; n > 0 && s.persist.store != nil && s.batchesSinceSnap >= n {
 		s.batchesSinceSnap = 0
-		s.periodicCheckpoint()
+		_ = s.checkpoint()
 	}
-	s.sweep()
-	s.publish()
+	if s.dirty {
+		s.publish()
+	}
 	for _, r := range replies {
 		r.ch <- r.err
 	}
-	if s.wantSnapshot {
-		s.wantSnapshot = false
-		err := s.writeSnapshot()
-		for _, ch := range s.snapWaits {
-			ch <- err
-		}
-		s.snapWaits = s.snapWaits[:0]
-		if err != nil {
-			// A failed checkpoint snapshot on a wedged server leaves the
-			// wedge in place; hand the repair to the retry timer.
-			s.scheduleReanchor()
-		}
+	for _, e := range reads {
+		e.reply <- e.run(s.st)
 	}
-	s.maybeDriftRestream()
+	if trigger := s.st.Drift(); trigger != "" {
+		// Cannot fail: Drift asks only with vertices assigned and no
+		// restream in flight.
+		_ = s.launchRestream(trigger)
+	}
 }
 
 // process applies one envelope. The returned error joins the first few
-// element rejections (nil when everything was accepted).
-func (s *Server) process(env envelope) error {
+// element rejections (nil when everything was accepted). parked means the
+// envelope's reply was stored to be answered later — a restream's, at
+// adoption — and must not be answered by the caller.
+func (s *Server) process(env envelope) (parked bool, err error) {
+	s.dirty = true
+	wedged := s.persist.store != nil && s.persist.wedged.Load()
 	switch env.kind {
 	case ctrlDrain:
 		// The drain is part of the replayable history: it changes window
 		// state and therefore every subsequent placement. Refuse it
 		// outright while wedged — draining unlogged would diverge.
-		if s.persist.store != nil && s.persist.wedged.Load() {
-			return fmt.Errorf("%w: drain refused; checkpoint to repair", ErrWedged)
+		if wedged {
+			return false, fmt.Errorf("%w: drain refused; checkpoint to repair", ErrWedged)
 		}
-		s.p.Finish()
-		return s.logRecord(checkpoint.RecordDrain)
+		return false, s.commit(checkpoint.RecordDrain, env)
 	case ctrlCheckpoint:
 		// The barrier failpoint refuses the checkpoint request before it
 		// drains or reseeds anything: the caller sees the error, the
 		// serving state is untouched.
 		if err := fault.Check(fault.ServeBarrier); err != nil {
-			env.reply <- err
-			return nil
+			return false, err
 		}
-		s.p.Finish()
-		// The barrier record makes the drain+reseed replayable when the
-		// snapshot below fails. While wedged (or if this append itself
-		// fails) the WAL cannot carry it, but the snapshot still can
-		// repair everything, so keep going either way.
-		if !s.persist.wedged.Load() {
-			_ = s.logRecord(checkpoint.RecordBarrier)
-		}
-		if err := s.rebuildEngine(); err != nil {
-			env.reply <- err
-			return nil
-		}
-		s.wantSnapshot = true
-		s.snapWaits = append(s.snapWaits, env.reply)
-		return nil
-	case ctrlExport:
-		env.replyA <- s.p.Assignment().Clone()
-		return nil
-	case ctrlView:
-		env.replyV <- s.buildView()
-		return nil
+		return false, s.checkpoint()
 	case ctrlRestream:
-		switch {
-		case s.restreaming:
-			env.reply <- errors.New("serve: restream already in flight")
-		case s.g.NumVertices() == 0:
-			env.reply <- errors.New("serve: nothing to restream")
-		default:
-			s.manualWait = env.reply
-			s.launchRestream(env.trigger)
+		if err := s.launchRestream(env.trigger); err != nil {
+			return false, err
 		}
-		return nil
+		s.manualWait = env.reply
+		return true, nil
 	}
-	logWAL := s.persist.store != nil
 	// Once wedged, the log is missing applied elements; accepting more
 	// would acknowledge durability the directory cannot deliver, and
 	// recovery would reject replayed records referencing the gap.
-	if logWAL && s.persist.wedged.Load() && len(env.elems) > 0 {
-		s.rejected += int64(len(env.elems))
-		return fmt.Errorf("%w: refused %d elements; checkpoint to repair", ErrWedged, len(env.elems))
-	}
-	var errs []error
-	dropped := 0
-	s.walScratch = s.walScratch[:0]
-	for i := range env.elems {
-		if err := s.applyElement(env.elems[i]); err != nil {
-			s.rejected++
-			if len(errs) < maxReportedErrors {
-				errs = append(errs, err)
-			} else {
-				dropped++
-			}
-		} else {
-			s.ingested++
-			if logWAL {
-				s.walScratch = append(s.walScratch, env.elems[i])
-			}
-		}
-	}
-	if dropped > 0 {
-		errs = append(errs, fmt.Errorf("serve: %d further element errors", dropped))
+	if wedged && len(env.elems) > 0 {
+		s.st.Refuse(len(env.elems))
+		return false, fmt.Errorf("%w: refused %d elements; checkpoint to repair", ErrWedged, len(env.elems))
 	}
 	if len(env.elems) > 0 {
 		s.batchesSinceSnap++
 	}
-	// Durability before acknowledgement: the accepted slice of the batch
-	// is in the WAL (fsynced per policy) before handle releases the reply.
-	if logWAL && len(s.walScratch) > 0 {
-		// Binary batches whose every decoded element was accepted are
-		// logged as their original frame payload, skipping the text
-		// re-encode entirely. The payload must describe exactly the
-		// accepted elements — any decode-stage dedup or writer-side
-		// rejection falls back to encoding the accepted subset, because
-		// replay applies WAL bodies verbatim and fatally rejects
-		// duplicates ("the log holds only once-accepted elements").
-		if env.raw != nil && env.rawExact && len(s.walScratch) == len(env.elems) {
-			if err := s.appendWALBinary(env.raw); err != nil {
-				errs = append(errs, err)
+	return false, s.commit(checkpoint.RecordBatch, env)
+}
+
+// commit applies one replayable operation to the core and then logs it,
+// so the WAL holds exactly what ApplyRecord will be fed at recovery.
+// Durability before acknowledgement: the record is in the WAL (fsynced
+// per policy) before the caller releases the envelope's reply.
+func (s *Server) commit(kind checkpoint.RecordKind, env envelope) error {
+	accepted, err := s.st.ApplyRecord(kind, env.elems)
+	if s.persist.store == nil || (kind == checkpoint.RecordBatch && len(accepted) == 0) {
+		return err
+	}
+	if werr := s.log(kind, env, accepted); werr != nil {
+		return errors.Join(err, werr)
+	}
+	return err
+}
+
+// log appends one record — an element-less drain/barrier marker, or the
+// accepted elements of batch env — and maintains the persistence
+// counters. A batch is logged as one binary frame payload: the original
+// one, verbatim, when it describes exactly the accepted elements;
+// otherwise — text ingest, decode-stage dedup, writer-side rejections —
+// the accepted subset re-encoded, because replay applies WAL bodies as
+// they are and fatally rejects anything the writer did not accept ("the
+// log holds only once-accepted elements"). Whatever Apply accepted
+// always encodes: labels are codec-safe and self-loops never pass the
+// graph.
+func (s *Server) log(kind checkpoint.RecordKind, env envelope, accepted []stream.Element) error {
+	var n int
+	var err error
+	if kind != checkpoint.RecordBatch {
+		n, err = s.persist.store.Append(kind, nil)
+	} else {
+		body := env.raw
+		if !env.rawExact || len(accepted) != len(env.elems) {
+			if body, err = s.walEnc.AppendPayload(s.walScratch[:0], accepted); err == nil {
+				s.walScratch = body
 			}
-		} else if err := s.appendWAL(checkpoint.RecordBatch, s.walScratch); err != nil {
-			errs = append(errs, err)
+		}
+		if err == nil {
+			n, err = s.persist.store.AppendBinary(body)
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// appendWAL writes one record and maintains the persistence counters. On
-// failure the server wedges: the in-memory state now leads the log, so
-// further appends are pointless until a snapshot re-anchors the history.
-func (s *Server) appendWAL(kind checkpoint.RecordKind, elems []stream.Element) error {
-	n, err := s.persist.store.Append(kind, elems)
-	return s.noteAppend(n, err)
-}
-
-// appendWALBinary logs one accepted binary batch as its original frame
-// payload (no re-encode); failure semantics are identical to appendWAL.
-func (s *Server) appendWALBinary(payload []byte) error {
-	n, err := s.persist.store.AppendBinary(payload)
-	return s.noteAppend(n, err)
-}
-
-// noteAppend maintains the persistence counters and the wedge for both
-// append paths.
-func (s *Server) noteAppend(n int, err error) error {
 	if err != nil {
-		// The returned error wraps the underlying I/O failure, NOT
-		// ErrWedged: the batch WAS applied in memory — it is the durability
-		// acknowledgement that failed. Only refusals of later work (which
-		// is not applied) carry ErrWedged.
-		s.notePersistErr(err)
-		s.persist.wedged.Store(true)
-		s.scheduleReanchor()
+		// The server wedges: the in-memory state now leads the log, so
+		// further appends are pointless until a snapshot re-anchors the
+		// history. The returned error wraps the underlying failure, NOT
+		// ErrWedged: the operation WAS applied in memory — it is the
+		// durability acknowledgement that failed. Only refusals of later
+		// work (which is not applied) carry ErrWedged.
+		s.wedge(err)
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	s.persist.walRecords.Add(1)
@@ -1009,369 +773,63 @@ func (s *Server) noteAppend(n int, err error) error {
 	return nil
 }
 
-// logRecord appends an element-less marker record (drain, barrier).
-func (s *Server) logRecord(kind checkpoint.RecordKind) error {
-	if s.persist.store == nil {
-		return nil
+// checkpoint is the one checkpoint of the shell — explicit, periodic and
+// re-anchoring alike: the core's Barrier and its WAL record, a publish,
+// and the snapshot of the window-empty state the barrier left. The
+// record makes the drain + reseed replayable when the snapshot fails.
+// While wedged (or if this append itself fails) the WAL cannot carry it,
+// but the snapshot alone still re-anchors everything, so keep going. A
+// failed snapshot on a wedged server leaves the wedge in place; the
+// repair goes to the retry timer (reanchor re-arms it itself, after
+// doubling the backoff).
+func (s *Server) checkpoint() error {
+	_, err := s.st.ApplyRecord(checkpoint.RecordBarrier, nil)
+	if err != nil {
+		s.notePersistErr(err) // unreachable with a validated config
+	} else {
+		if !s.persist.wedged.Load() {
+			_ = s.log(checkpoint.RecordBarrier, envelope{}, nil)
+		}
+		s.publish()
+		err = s.writeSnapshot()
 	}
-	return s.appendWAL(kind, nil)
+	if err != nil {
+		s.scheduleReanchor()
+	}
+	return err
 }
 
-// applyElement validates one element against the canonical graph, then
-// feeds graph and partitioner in lockstep. Validation up front keeps the
-// two views consistent: anything the graph would reject never reaches the
-// engine.
-func (s *Server) applyElement(el stream.Element) error {
-	switch el.Kind {
-	case stream.VertexElement:
-		if s.g.HasVertex(el.V) {
-			return fmt.Errorf("serve: duplicate vertex %d", el.V)
-		}
-		// Labels must survive the text codecs (WAL records, snapshots,
-		// Export files); reject the ones that cannot up front, so the
-		// accepted stream is always durable and replayable.
-		if !checkpoint.CodecSafeLabel(el.Label) {
-			return fmt.Errorf("serve: vertex %d label %q is not codec-safe", el.V, el.Label)
-		}
-		s.g.AddVertex(el.V, el.Label)
-		if err := s.p.AddVertex(el.V, el.Label); err != nil {
-			s.g.RemoveVertex(el.V)
-			return err
-		}
-		s.pending = append(s.pending, el.V)
-		return nil
-	case stream.EdgeElement:
-		// graph.AddEdge validates self-loops, unknown endpoints and
-		// duplicates before mutating, so it is the single gatekeeper here.
-		if err := s.g.AddEdge(el.V, el.U); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		if err := s.p.AddEdge(el.V, el.U); err != nil {
-			s.g.RemoveEdge(el.V, el.U)
-			return err
-		}
-		// A late edge between two already-assigned vertices is accounted
-		// here; edges with a pending endpoint are accounted by sweep when
-		// that endpoint lands in the table.
-		if pv, ok := s.tab.get(el.V); ok {
-			if pu, ok2 := s.tab.get(el.U); ok2 {
-				s.observed++
-				if pv != pu {
-					s.cut++
-				}
-			}
-		}
-		if s.edgeStamp != nil {
-			s.edgeStamp[mkEdgeKey(el.V, el.U)] = s.ingested
-		}
-		return nil
-	case stream.RemoveVertexElement:
-		if !s.g.HasVertex(el.V) {
-			return fmt.Errorf("serve: remove of unknown vertex %d", el.V)
-		}
-		// Engine first: every canonical-graph vertex is window-resident or
-		// assigned in the core (graph and partitioner are fed in lockstep),
-		// so this cannot fail; if it ever did, no serve-side state has been
-		// touched yet.
-		if err := s.p.RemoveVertex(el.V); err != nil {
-			return err
-		}
-		// Drift decrement before the graph forgets the adjacency, mirroring
-		// the exactly-once accounting above and in sweep: an edge was
-		// counted iff BOTH endpoints are in the published table, and table
-		// entries only ever leave through this path (which decrements) or a
-		// restream swap (which recounts from scratch).
-		if pv, ok := s.tab.get(el.V); ok {
-			s.g.EachNeighbor(el.V, func(u graph.VertexID) bool {
-				if pu, ok2 := s.tab.get(u); ok2 {
-					s.observed--
-					if pu != pv {
-						s.cut--
-					}
-				}
-				return true
-			})
-		}
-		if s.edgeStamp != nil {
-			s.g.EachNeighbor(el.V, func(u graph.VertexID) bool {
-				delete(s.edgeStamp, mkEdgeKey(el.V, u))
-				return true
-			})
-		}
-		// Tombstone the published placement and evict any sparse entry so
-		// no reader — of this or any older table generation — resolves the
-		// stale shard off a later recycled handle.
-		s.tabClear(el.V)
-		for i, pv := range s.pending {
-			if pv == el.V {
-				s.pending[i] = s.pending[len(s.pending)-1]
-				s.pending = s.pending[:len(s.pending)-1]
-				break
-			}
-		}
-		s.g.RemoveVertex(el.V)
-		return nil
-	case stream.RemoveEdgeElement:
-		if !s.g.HasEdge(el.V, el.U) {
-			return fmt.Errorf("serve: remove of unknown edge {%d,%d}", el.V, el.U)
-		}
-		if err := s.p.RemoveEdge(el.V, el.U); err != nil {
-			return err
-		}
-		s.g.RemoveEdge(el.V, el.U)
-		// Undo the exactly-once drift accounting: counted iff both
-		// endpoints are in the table (see the edge case above).
-		if pv, ok := s.tab.get(el.V); ok {
-			if pu, ok2 := s.tab.get(el.U); ok2 {
-				s.observed--
-				if pv != pu {
-					s.cut--
-				}
-			}
-		}
-		if s.edgeStamp != nil {
-			delete(s.edgeStamp, mkEdgeKey(el.V, el.U))
-		}
-		return nil
-	}
-	return fmt.Errorf("serve: unknown element kind %d", el.Kind)
+// wedge records a persistence failure that left the log behind the
+// served state, and arms the self-healing retry.
+func (s *Server) wedge(err error) {
+	s.notePersistErr(err)
+	s.persist.wedged.Store(true)
+	s.scheduleReanchor()
 }
 
-// sweep mirrors freshly assigned vertices into the placement table and
-// folds their edges into the drift estimate. Each assigned-assigned edge
-// is counted exactly once: when its second endpoint enters the table.
-func (s *Server) sweep() {
-	cur := s.p.Assignment()
-	for i := 0; i < len(s.pending); {
-		v := s.pending[i]
-		p := cur.Get(v)
-		if p == partition.Unassigned {
-			i++
-			continue
-		}
-		s.g.EachNeighbor(v, func(u graph.VertexID) bool {
-			if pu, ok := s.tab.get(u); ok {
-				s.observed++
-				if pu != p {
-					s.cut++
-				}
-			}
-			return true
-		})
-		s.tabSet(v, p)
-		s.sinceRestream++
-		s.pending[i] = s.pending[len(s.pending)-1]
-		s.pending = s.pending[:len(s.pending)-1]
-	}
+func (s *Server) notePersistErr(err error) {
+	msg := err.Error()
+	s.persist.lastErr.Store(&msg)
 }
 
-// tabSet stores one placement, growing the dense region (as a fresh table
-// generation, copy-on-write) when v outgrows it.
-func (s *Server) tabSet(v graph.VertexID, p partition.ID) {
-	t := s.tab
-	if v >= 0 && int64(v) < int64(len(t.dense)) {
-		atomic.StoreInt32(&t.dense[v], int32(p))
-		return
-	}
-	if denseEligible(v, s.g.NumVertices()) {
-		nd := newDense(grownDense(len(t.dense), v))
-		// Plain reads of our own previously published values: the writer
-		// is the only goroutine that ever stores, and readers only read.
-		copy(nd, t.dense)
-		nd[v] = int32(p)
-		s.tab = &table{dense: nd, sparse: t.sparse, hasSparse: t.hasSparse}
-		return
-	}
-	t.hasSparse.Store(true)
-	t.sparse.Store(v, p)
-}
-
-// tabClear tombstones one placement. The dense slot (when v is in range)
-// flips back to denseUnassigned atomically, and the sparse entry is
-// deleted unconditionally — the sparse map is shared by every growth
-// generation, so readers holding an older table observe the removal too.
-// Either way, a vertex ID recycled by a later re-add starts unplaced.
-func (s *Server) tabClear(v graph.VertexID) {
-	t := s.tab
-	if v >= 0 && int64(v) < int64(len(t.dense)) {
-		atomic.StoreInt32(&t.dense[v], denseUnassigned)
-	}
-	if t.hasSparse.Load() {
-		t.sparse.Delete(v)
-	}
-}
-
-// publish freezes the current statistics into a new Snapshot epoch.
+// publish opens a new epoch of the core and makes it the one readers
+// answer from.
 func (s *Server) publish() {
-	s.epoch++
-	cur := s.p.Assignment()
-	st := Stats{
-		Epoch:         s.epoch,
-		K:             s.k,
-		Ingested:      s.ingested,
-		Rejected:      s.rejected,
-		Vertices:      s.g.NumVertices(),
-		Edges:         s.g.NumEdges(),
-		Assigned:      cur.Len(),
-		PendingWindow: s.g.NumVertices() - cur.Len(),
-		ObservedEdges: s.observed,
-		CutEdges:      s.cut,
-		Imbalance:     metrics.VertexImbalance(cur),
-		Sizes:         cur.Sizes(),
-		Restreams:     s.restreams,
-		RestreamLive:  s.restreaming,
-		LastRestream:  s.lastRestream,
-	}
-	if s.observed > 0 {
-		st.CutFraction = float64(s.cut) / float64(s.observed)
-	}
-	if s.winValid {
-		st.WindowCutFraction = s.winRate
-		st.WindowCutValid = true
-	}
-	s.cur.Store(&Snapshot{tab: s.tab, stats: st})
+	s.cur.Store(s.st.Publish())
+	s.dirty = false
 }
 
-// seedEngine builds a fresh core.Partitioner from the effective config
-// and seeds its assignment with a. This is the engine reseed performed at
-// every barrier — restream adoption, explicit checkpoint, snapshot
-// recovery — so all three leave the engine in the same state (empty
-// window, fresh seeded RNG, restored placements): a recovered server
-// continues exactly like one that rebuilt in place.
-func (s *Server) seedEngine(a *partition.Assignment) (*core.Partitioner, error) {
-	np, err := core.New(s.ccfg, s.trie)
-	if err != nil {
-		return nil, err
-	}
-	na := np.Assignment()
-	var serr error
-	a.EachVertex(func(v graph.VertexID, p partition.ID) {
-		if err := na.Set(v, p); err != nil && serr == nil {
-			serr = err
-		}
-	})
-	if serr != nil {
-		return nil, serr
-	}
-	return np, nil
-}
-
-// buildView deep-copies the assigned subgraph and its placements with
-// fresh interners (like detachedClone: the identity layer is not
-// concurrency-safe, so the copy must share nothing). Runs on the writer.
-func (s *Server) buildView() *View {
-	cur := s.p.Assignment()
-	g := graph.NewWithCapacity(cur.Len())
-	a := partition.MustNewAssignment(s.k)
-	s.g.EachVertex(func(v graph.VertexID) bool {
-		p := cur.Get(v)
-		if p == partition.Unassigned {
-			return true // window resident: not in the view
-		}
-		l, _ := s.g.Label(v)
-		g.AddVertex(v, l)
-		// p came from a live assignment over the same k; Set cannot fail.
-		if err := a.Set(v, p); err != nil {
-			panic(err)
-		}
-		return true
-	})
-	s.g.EachEdge(func(u, v graph.VertexID) bool {
-		if g.HasVertex(u) && g.HasVertex(v) {
-			// Endpoints were just added; AddEdge cannot fail.
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-		return true
-	})
-	return &View{Graph: g, Assignment: a, Epoch: s.epoch}
-}
-
-// periodicCheckpoint is the SnapshotEveryBatches trigger: the same drain,
-// barrier record and engine reseed an explicit Checkpoint performs, with
-// the snapshot written by handle after the next publish. Runs on the
-// writer.
-func (s *Server) periodicCheckpoint() {
-	s.p.Finish()
-	// While wedged the WAL cannot carry the barrier, but the snapshot
-	// alone still re-anchors everything; keep going either way.
-	if !s.persist.wedged.Load() {
-		_ = s.logRecord(checkpoint.RecordBarrier)
-	}
-	if err := s.rebuildEngine(); err != nil {
-		// Unreachable with a validated config; record and skip this cycle.
-		s.notePersistErr(err)
-		return
-	}
-	s.wantSnapshot = true
-}
-
-// rebuildEngine reseeds the live engine in place with its own current
-// assignment (a checkpoint barrier). The pending list is left alone: the
-// next sweep mirrors those vertices from the reseeded assignment.
-func (s *Server) rebuildEngine() error {
-	np, err := s.seedEngine(s.p.Assignment())
-	if err != nil {
-		return err
-	}
-	s.p = np
-	return nil
-}
-
-// buildTable makes a fresh table generation holding exactly a's
-// placements. Plain writes are safe: no reader sees the table until it is
-// published.
-func buildTable(a *partition.Assignment) *table {
-	maxID := graph.VertexID(-1)
-	a.EachVertex(func(v graph.VertexID, p partition.ID) {
-		if v > maxID && denseEligible(v, a.Len()) {
-			maxID = v
-		}
-	})
-	nt := newTable(grownDense(0, maxID))
-	a.EachVertex(func(v graph.VertexID, p partition.ID) {
-		if v >= 0 && int64(v) < int64(len(nt.dense)) {
-			nt.dense[v] = int32(p)
-			return
-		}
-		nt.hasSparse.Store(true)
-		nt.sparse.Store(v, p)
-	})
-	return nt
-}
-
-// writeSnapshot persists the current state. Callers must be at a
-// window-empty barrier (everything assigned); the snapshot codec has no
-// representation for window residents.
+// writeSnapshot persists the core's current state, which must be at a
+// window-empty barrier. A no-op without persistence.
 func (s *Server) writeSnapshot() error {
 	if s.persist.store == nil {
 		return nil
 	}
-	cur := s.p.Assignment()
-	if cur.Len() != s.g.NumVertices() {
-		err := fmt.Errorf("serve: checkpoint with %d window-resident vertices", s.g.NumVertices()-cur.Len())
-		s.notePersistErr(err)
-		return err
+	m, g, a, err := s.st.Snapshot()
+	if err == nil {
+		err = s.persist.store.WriteSnapshot(m, g, a)
 	}
-	m := checkpoint.Meta{
-		Epoch:            s.epoch,
-		K:                s.k,
-		ExpectedVertices: s.ccfg.Partition.ExpectedVertices,
-		WindowSize:       s.ccfg.WindowSize,
-		Threshold:        s.ccfg.Threshold,
-		Slack:            s.ccfg.Partition.Slack,
-		Seed:             s.ccfg.Partition.Seed,
-		Ingested:         s.ingested,
-		Rejected:         s.rejected,
-		Cut:              s.cut,
-		Observed:         s.observed,
-		Restreams:        s.restreams,
-		SinceRestream:    s.sinceRestream,
-		EverRestream:     s.everRestream,
-		VertsAtSwap:      s.vertsAtSwap,
-	}
-	if err := s.persist.store.WriteSnapshot(m, s.g, cur); err != nil {
+	if err != nil {
 		s.notePersistErr(err)
 		return err
 	}
@@ -1385,512 +843,115 @@ func (s *Server) writeSnapshot() error {
 	return nil
 }
 
-func (s *Server) notePersistErr(err error) {
-	msg := err.Error()
-	s.persist.lastErr.Store(&msg)
-}
-
-// rollDriftWindow closes the open drift window once WindowEdges observed
-// edges have accumulated in it, freezing that window's cut fraction as
-// the rate the cut trigger compares.
-func (s *Server) rollDriftWindow() {
-	w := s.cfg.Drift.WindowEdges
-	if w <= 0 {
-		return
+// launchRestream detaches a restream job from the core and runs it on a
+// background goroutine.
+func (s *Server) launchRestream(trigger string) error {
+	var observed func() *query.Workload
+	if src := s.workloadSrc.Load(); src != nil {
+		observed = *src
 	}
-	if n := s.observed - s.winStartObserved; n >= w {
-		s.winRate = float64(s.cut-s.winStartCut) / float64(n)
-		s.winValid = true
-		s.winStartCut, s.winStartObserved = s.cut, s.observed
+	job, err := s.st.BeginRestream(trigger, observed)
+	if err != nil {
+		return err
 	}
-}
-
-// driftCutRate returns the cut fraction the trigger should compare:
-// the last completed window's rate when windowing is configured (ok is
-// false until one window has completed), the lifetime fraction otherwise.
-func (s *Server) driftCutRate() (float64, bool) {
-	if s.cfg.Drift.WindowEdges > 0 {
-		return s.winRate, s.winValid
-	}
-	if s.observed == 0 {
-		return 0, false
-	}
-	return float64(s.cut) / float64(s.observed), true
-}
-
-// maybeDriftRestream fires a background restream when the incremental
-// estimators cross their thresholds.
-func (s *Server) maybeDriftRestream() {
-	s.rollDriftWindow()
-	if s.restreaming {
-		return
-	}
-	d := s.cfg.Drift
-	if d.MaxCutFraction <= 0 && d.MaxImbalance <= 0 {
-		return
-	}
-	cur := s.p.Assignment()
-	if cur.Len() < d.MinAssigned {
-		return
-	}
-	// The cooldown spaces restreams out; it does not gate the first one.
-	if s.everRestream && s.sinceRestream < d.CooldownAssigned {
-		return
-	}
-	trigger := ""
-	rate, rateOK := s.driftCutRate()
-	switch {
-	case d.MaxCutFraction > 0 && rateOK && rate > d.MaxCutFraction:
-		trigger = "cut"
-	case d.MaxImbalance > 0 && metrics.VertexImbalance(cur) > d.MaxImbalance:
-		trigger = "imbalance"
-	}
-	if trigger != "" {
-		s.launchRestream(trigger)
-	}
-}
-
-// launchRestream snapshots the graph and assignment into fully detached
-// copies (fresh interners — the identity layer is not concurrency-safe)
-// and restreams them on a background goroutine.
-func (s *Server) launchRestream(trigger string) {
-	s.restreaming = true
-	s.everRestream = true
-	s.sinceRestream = 0
-	gc := s.restreamClone()
-	prior := s.p.Assignment().Clone()
-	cfg := s.cfg
-	// Resolve the workload the loom heuristic scores against: the live
-	// observed workload when a source is installed and has data, the
-	// static Config.Workload otherwise. Resolved here, on the writer, so
-	// the background goroutine never touches the source.
-	w, wsrc := cfg.Workload, ""
-	if h := cfg.Drift.Heuristic; h == "" || h == "loom" {
-		wsrc = "static"
-		if src := s.workloadSrc.Load(); src != nil {
-			if ow := src.fn(); ow != nil && ow.Len() > 0 {
-				w, wsrc = ow, "observed"
-			}
-		}
-	}
+	s.restreamStart = time.Now()
 	ch := s.restreamCh
-	started := time.Now()
-	go func() {
-		res, trie, err := runRestream(cfg, w, gc, prior)
-		ch <- &restreamOutcome{
-			res: res, err: err, trigger: trigger, started: started,
-			trie: trie, workload: wsrc,
-		}
-	}()
+	go func() { ch <- job.Run() }()
+	return nil
 }
 
-// runRestream executes the configured restream heuristic over the
-// detached clone, scoring against workload w (loom heuristic only). It
-// runs on a background goroutine and must not touch any writer-owned
-// state. For the loom heuristic the returned trie is the private
-// TPSTry++ built from w, ready to become the live trie at adoption.
-func runRestream(cfg Config, w *query.Workload, gc *graph.Graph, prior *partition.Assignment) (*partition.RestreamResult, *motif.Trie, error) {
-	d := cfg.Drift
-	rcfg := partition.RestreamConfig{Passes: d.Passes, Priority: d.Priority, SelfWeight: d.SelfWeight}
-	base := gc.Vertices()
-	pcfg := cfg.Core.Partition
-	pcfg.ExpectedVertices = gc.NumVertices()
-	switch d.Heuristic {
-	case "", "loom":
-		trie, err := buildTrie(w, cfg.Alphabet, cfg.MaxMotifVertices)
-		if err != nil {
-			return nil, nil, err
-		}
-		ccfg := cfg.Core
-		ccfg.Partition = pcfg
-		res, err := core.Restream(gc, trie, ccfg, rcfg, base, prior)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, trie, nil
-	case "ldg", "fennel":
-		rs := &partition.Restreamer{
-			Config: rcfg,
-			NewPass: func(int) (partition.Streaming, error) {
-				if d.Heuristic == "fennel" {
-					return partition.NewFennel(partition.FennelConfig{Config: pcfg, ExpectedEdges: gc.NumEdges()})
-				}
-				return partition.NewLDG(pcfg)
-			},
-		}
-		res, err := rs.Run(gc, base, prior)
-		return res, nil, err
-	}
-	return nil, nil, fmt.Errorf("serve: unknown restream heuristic %q", d.Heuristic)
-}
-
-// adopt swaps a finished restream into the serving path: it drains the
-// live window (a swap barrier — every ingested vertex gets a current
-// placement), merges post-snapshot arrivals into the restreamed
-// assignment, rebuilds the engine seeded with the merged placement, and
-// republishes table and drift counters under a new epoch. The snapshot is
-// published before any waiting Restream caller is released, so a waiter's
-// next Where/Stats observes the swapped state.
-func (s *Server) adopt(out *restreamOutcome) {
-	s.restreaming = false
-	s.sinceRestream = 0
+// adopt hands a finished restream to the core and publishes the result
+// before any waiting Restream caller is released, so a waiter's next
+// Where/Stats observes the swapped state.
+func (s *Server) adopt(out *state.Outcome) {
 	reply := s.manualWait
 	s.manualWait = nil
-	if out.err != nil {
-		s.lastRestream = &RestreamReport{
-			Trigger:        out.trigger,
-			Err:            out.err.Error(),
-			WorkloadSource: out.workload,
-			DurationMS:     time.Since(out.started).Milliseconds(),
-		}
-		s.publish()
-		if reply != nil {
-			reply <- out.err
-		}
-		return
-	}
-
-	prev := s.p.Assignment().Clone()
-	s.p.Finish()
-	cur := s.p.Assignment()
-	merged := out.res.Final
-	// Deletions that raced the background pass: the detached clone
-	// predates them, so scrub placements for vertices the live graph no
-	// longer holds — a removed (and possibly later recycled) ID must
-	// never inherit a shard from a stale clone.
-	var gone []graph.VertexID
-	merged.EachVertex(func(v graph.VertexID, _ partition.ID) {
-		if !s.g.HasVertex(v) {
-			gone = append(gone, v)
-		}
-	})
-	for _, v := range gone {
-		merged.Remove(v)
-	}
-	restreamed := merged.Len()
-	// Vertices ingested after the snapshot keep their live placement.
-	var mergeErr error
-	cur.EachVertex(func(v graph.VertexID, p partition.ID) {
-		if merged.Get(v) == partition.Unassigned {
-			if err := merged.Set(v, p); err != nil && mergeErr == nil {
-				mergeErr = err
-			}
-		}
-	})
-	if mergeErr != nil {
-		// Unreachable with a validated config; keep serving the old state.
-		report := &RestreamReport{
-			Trigger:    out.trigger,
-			Err:        mergeErr.Error(),
-			DurationMS: time.Since(out.started).Milliseconds(),
-		}
-		s.lastRestream = report
-		s.publish()
-		if reply != nil {
-			reply <- mergeErr
-		}
-		return
-	}
-
-	report := &RestreamReport{
-		Trigger:        out.trigger,
-		Passes:         out.res.Passes,
-		Vertices:       restreamed,
-		WorkloadSource: out.workload,
-		DurationMS:     time.Since(out.started).Milliseconds(),
-	}
-	prev.EachVertex(func(v graph.VertexID, from partition.ID) {
-		if to := merged.Get(v); to != partition.Unassigned && to != from {
-			report.Moves = append(report.Moves, Move{V: v, From: from, To: to})
-		}
-	})
-	sort.Slice(report.Moves, func(i, j int) bool { return report.Moves[i].V < report.Moves[j].V })
-	// Only previously visible placements that changed cost data movement;
-	// window residents assigned at the barrier were never published.
-	report.Migrated = len(report.Moves)
-	if n := merged.Len(); n > 0 {
-		report.MigrationFraction = float64(report.Migrated) / float64(n)
-	}
-
-	// The migration budget gates automatically triggered swaps: when the
-	// plan would move more of the graph than the operator allowed, keep
-	// serving the old assignment. The check uses metrics.MigrationFraction
-	// over the full pre/post assignments (vertices first assigned at the
-	// barrier included), the same measure the offline evaluator reports.
-	// The cooldown (sinceRestream was reset above) spaces out the retry.
-	if bud := s.cfg.Drift.MaxMigrationFraction; bud > 0 && out.trigger != "manual" {
-		if mf := metrics.MigrationFraction(prev, merged); mf > bud {
-			report.BudgetRejected = true
-			report.Err = fmt.Sprintf("serve: migration fraction %.4f exceeds budget %.4f", mf, bud)
-			s.lastRestream = report
-			// The window was drained above; mirror its placements before
-			// republishing so Where stays consistent with Assigned.
-			s.sweep()
-			s.publish()
-			if reply != nil {
-				reply <- errors.New(report.Err)
-			}
-			return
-		}
-	}
-
-	// Adopt the restream's trie as the live one (loom heuristic): the
-	// pattern tracker and every later engine reseed then score against
-	// the workload this restream was built from — the observed workload
-	// once a source is installed, closing the feedback loop.
-	if out.trie != nil {
-		s.trie = out.trie
-	}
-
-	// Rebuild the engine around the merged assignment. ExpectedVertices
-	// is re-planned from the observed arrival ratio since the last swap
-	// (clamped to [1.25x, 4x] headroom over the current population, 2x
-	// before a baseline exists) instead of blindly doubling: a plateaued
-	// stream no longer inflates the capacity constraint, a fast-growing
-	// one gets more headroom. The growth sticks in s.ccfg so later
-	// barriers (checkpoints, recovery) rebuild with the same capacity.
-	n := s.g.NumVertices()
-	growth := 2.0
-	if s.vertsAtSwap > 0 {
-		growth = float64(n) / float64(s.vertsAtSwap)
-		if growth < 1.25 {
-			growth = 1.25
-		}
-		if growth > 4 {
-			growth = 4
-		}
-	}
-	if target := int(float64(n) * growth); s.ccfg.Partition.ExpectedVertices < target {
-		s.ccfg.Partition.ExpectedVertices = target
-	}
-	s.vertsAtSwap = n
-	report.ExpectedVertices = s.ccfg.Partition.ExpectedVertices
-	np, err := s.seedEngine(merged)
-	if err != nil {
-		// Unreachable with a validated config; keep serving the old state.
-		report.Err = err.Error()
-		s.lastRestream = report
-		s.publish()
-		if reply != nil {
-			reply <- err
-		}
-		return
-	}
-	na := np.Assignment()
-	s.p = np
-	s.pending = s.pending[:0]
-
-	// Fresh table generation; the epoch flip makes the swap atomic for
-	// readers.
-	s.tab = buildTable(na)
-	s.cut, s.observed = 0, 0
-	s.g.EachEdge(func(u, v graph.VertexID) bool {
-		pu, pv := na.Get(u), na.Get(v)
-		if pu != partition.Unassigned && pv != partition.Unassigned {
-			s.observed++
-			if pu != pv {
-				s.cut++
-			}
-		}
-		return true
-	})
-	// The swap starts a fresh drift window: the recomputed counters are
-	// the new baseline, and the pre-swap window rate no longer describes
-	// the serving assignment.
-	s.winStartCut, s.winStartObserved = s.cut, s.observed
-	s.winRate, s.winValid = 0, false
-	s.restreams++
-	s.lastRestream = report
+	swapped, err := s.st.Adopt(out, time.Since(s.restreamStart).Milliseconds())
 	s.publish()
-	// The swap is a window-empty barrier right after an engine reseed:
-	// exactly what a snapshot needs. Unlike a checkpoint, a swap is NOT
-	// representable in the WAL (the merged assignment came from a
-	// background pass), so if the write fails the log's timeline is now
-	// behind the served state for good — wedge ingest until a snapshot
-	// succeeds, exactly like a failed WAL append. Serving reads goes on.
-	swapErr := fault.Check(fault.ServeSwap)
-	if swapErr != nil && s.persist.store != nil {
-		s.notePersistErr(swapErr)
-	} else {
-		swapErr = s.writeSnapshot()
-	}
-	if swapErr != nil && s.persist.store != nil {
-		s.persist.wedged.Store(true)
-		s.scheduleReanchor()
+	if swapped && s.persist.store != nil {
+		// The swap is a window-empty barrier right after an engine reseed:
+		// exactly what a snapshot needs. Unlike a checkpoint, a swap is NOT
+		// representable in the WAL (the merged assignment came from a
+		// background pass), so if the write fails the log's timeline is now
+		// behind the served state for good — wedge ingest until a snapshot
+		// succeeds, exactly like a failed WAL append. Serving reads goes on.
+		if serr := fault.Check(fault.ServeSwap); serr != nil {
+			s.wedge(serr)
+		} else if serr := s.writeSnapshot(); serr != nil {
+			s.wedge(serr)
+		}
 	}
 	if reply != nil {
-		reply <- nil
+		reply <- err
 	}
 }
 
-// shutdown quiesces senders, drains the mailbox, assigns everything still
-// in the window and publishes the final snapshot. Every batch that made it
-// into the mailbox is processed and replied to; senders still deciding see
-// the closed quit channel and return ErrStopped themselves.
-func (s *Server) shutdown() {
-	drainOne := func() bool {
+// quiesce hands every queued envelope to each until the mailbox is empty
+// and no sender is left between its quit-check and its enqueue. Called
+// with quit closed, so no sender can start a new enqueue: once inflight
+// reads zero, one more pass over the mailbox sees everything.
+func (s *Server) quiesce(each func(envelope)) {
+	for settled := false; ; {
 		select {
 		case env := <-s.mail:
-			// A queued restream request would only launch work that is
-			// guaranteed to be abandoned; refuse it instead.
-			if env.kind == ctrlRestream {
-				env.reply <- ErrStopped
-				return true
-			}
-			err := s.process(env)
-			// A checkpoint's reply waits for the final snapshot write
-			// below (process put it on snapWaits); answering here would
-			// report success before anything hit disk.
-			if env.reply != nil && env.kind != ctrlCheckpoint {
-				env.reply <- err
-			}
-			return true
+			each(env)
 		default:
-			return false
+			if settled {
+				return
+			}
+			if s.inflight.Load() == 0 {
+				settled = true
+			} else {
+				time.Sleep(50 * time.Microsecond)
+			}
 		}
-	}
-	for {
-		if drainOne() {
-			continue
-		}
-		if s.inflight.Load() == 0 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	for drainOne() {
-	}
-	// A restream in flight is waited for and adopted, never abandoned:
-	// the worker always sends exactly one outcome, so this cannot hang,
-	// and Stop's final state is deterministic — the drift-estimator
-	// counters and the restreamed assignment survive instead of depending
-	// on whether the swap won the race against shutdown. A waiting
-	// Restream caller is released by adopt with the real outcome.
-	if s.restreaming {
-		s.adopt(<-s.restreamCh)
-	} else {
-		select {
-		case out := <-s.restreamCh:
-			s.adopt(out)
-		default:
-		}
-	}
-	s.p.Finish()
-	s.sweep()
-	s.publish()
-	// Graceful shutdown checkpoint: a restart from the data directory
-	// comes up warm with an empty WAL tail. The write error (if any)
-	// reaches pending Checkpoint callers, and is recorded either way.
-	err := s.writeSnapshot()
-	s.wantSnapshot = false
-	for _, ch := range s.snapWaits {
-		ch <- err
-	}
-	s.snapWaits = s.snapWaits[:0]
-	if s.persist.store != nil {
-		if cerr := s.persist.store.Close(); cerr != nil {
-			s.notePersistErr(cerr)
-		}
-	}
-	if s.manualWait != nil {
-		s.manualWait <- ErrStopped
-		s.manualWait = nil
 	}
 }
 
-// abortShutdown is the hard-stop path: refuse everything queued, quiesce
-// senders, close the WAL without draining the window and without a final
-// snapshot. See Abort.
-func (s *Server) abortShutdown() {
-	refuseOne := func() bool {
-		select {
-		case env := <-s.mail:
+// shutdown ends the loop. Gracefully (Stop), every batch that made it
+// into the mailbox is processed and replied to, everything still in the
+// window is assigned and the final snapshot is published and persisted.
+// An abort (see Abort) refuses everything queued and closes the WAL
+// without draining the window and without a final snapshot. Either way
+// senders still deciding see the closed quit channel and return
+// ErrStopped themselves.
+func (s *Server) shutdown(abort bool) {
+	s.quiesce(func(env envelope) {
+		// A queued restream request would only launch work that is
+		// guaranteed to be abandoned, and a read has no settled core to
+		// run against; refuse both like an abort refuses everything.
+		if abort || env.kind == ctrlRestream || env.kind == ctrlRun {
 			if env.reply != nil {
 				env.reply <- ErrStopped
 			}
-			if env.replyA != nil {
-				env.replyA <- nil
-			}
-			if env.replyV != nil {
-				env.replyV <- nil
-			}
-			return true
-		default:
-			return false
+		} else if parked, err := s.process(env); !parked && env.reply != nil {
+			env.reply <- err
 		}
-	}
-	for {
-		if refuseOne() {
-			continue
+	})
+	if !abort {
+		// A restream in flight is waited for and adopted, never abandoned:
+		// the worker always sends exactly one outcome, so this cannot hang,
+		// and Stop's final state is deterministic — the drift-estimator
+		// counters and the restreamed assignment survive instead of
+		// depending on whether the swap won the race against shutdown. A
+		// waiting Restream caller is released by adopt with the real outcome.
+		if s.st.Restreaming() {
+			s.adopt(<-s.restreamCh)
 		}
-		if s.inflight.Load() == 0 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
+		s.st.Drain()
+		s.publish()
+		// Graceful shutdown checkpoint: a restart from the data directory
+		// comes up warm with an empty WAL tail. A write error is recorded
+		// (Stats.Persist.LastErr); there is nobody left to hand it to.
+		_ = s.writeSnapshot()
 	}
-	for refuseOne() {
-	}
-	if s.manualWait != nil {
-		s.manualWait <- ErrStopped
-		s.manualWait = nil
-	}
-	for _, ch := range s.snapWaits {
-		ch <- ErrStopped
-	}
-	s.snapWaits = s.snapWaits[:0]
 	if s.persist.store != nil {
 		if cerr := s.persist.store.Close(); cerr != nil {
 			s.notePersistErr(cerr)
 		}
 	}
-}
-
-// restreamClone snapshots the graph for a background restream. With
-// Config.DecaySpan set, edges whose last add is older than the span (in
-// accepted elements) are left out of the clone: core.Restream and the
-// ldg/fennel restreamers score only from the clone they are handed, so
-// stale edges age out of restream scoring uniformly across heuristics
-// while the canonical graph and the served placements keep them.
-func (s *Server) restreamClone() *graph.Graph {
-	if s.edgeStamp == nil {
-		return detachedClone(s.g)
+	if s.manualWait != nil {
+		s.manualWait <- ErrStopped
+		s.manualWait = nil
 	}
-	cutoff := s.ingested - s.cfg.DecaySpan
-	c := graph.NewWithCapacity(s.g.NumVertices())
-	s.g.EachVertex(func(v graph.VertexID) bool {
-		l, _ := s.g.Label(v)
-		c.AddVertex(v, l)
-		return true
-	})
-	s.g.EachEdge(func(u, v graph.VertexID) bool {
-		if s.edgeStamp[mkEdgeKey(u, v)] < cutoff {
-			return true // aged out of scoring
-		}
-		// Endpoints were just added; AddEdge cannot fail.
-		if err := c.AddEdge(u, v); err != nil {
-			panic(err)
-		}
-		return true
-	})
-	return c
-}
-
-// detachedClone deep-copies g with fresh interners, so a background
-// goroutine can read it while the writer keeps mutating the original
-// (graph.Clone shares the label interner, which is not concurrency-safe).
-func detachedClone(g *graph.Graph) *graph.Graph {
-	c := graph.NewWithCapacity(g.NumVertices())
-	g.EachVertex(func(v graph.VertexID) bool {
-		l, _ := g.Label(v)
-		c.AddVertex(v, l)
-		return true
-	})
-	g.EachEdge(func(u, v graph.VertexID) bool {
-		// Endpoints were just added; AddEdge cannot fail.
-		if err := c.AddEdge(u, v); err != nil {
-			panic(err)
-		}
-		return true
-	})
-	return c
 }

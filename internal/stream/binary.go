@@ -202,13 +202,20 @@ func (e *FrameEncoder) AppendPayload(dst []byte, elems []Element) ([]byte, error
 // a duplicate only when it repeats the last operation on that identity
 // within the same frame, so add/remove alternation passes through. gen
 // starts at 1, so the zero value of a missing map entry never aliases a
-// mark.
+// mark. Edge marks are stamped with egen, which also advances at every
+// kept vertex removal: removing a vertex removes its incident edges, so
+// "e u v, rv u, v u, e u v" repeats no operation. The decoder does not
+// track incidence and forgets every edge mark instead — a true duplicate
+// that slips through is still rejected by the writer's validation. This
+// is what lets any element sequence the writer accepted be logged as one
+// payload that DecodeFramePayload finds duplicate-free.
 type FrameDecoder struct {
 	intern map[string]graph.Label
 	dict   []graph.Label
 	seenV  map[graph.VertexID]uint64
 	seenE  map[graph.Edge]uint64
 	gen    uint64
+	egen   uint64
 }
 
 // Decode verifies b.CRC against b.Payload and parses the payload into
@@ -272,6 +279,7 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 		return ErrFrameTruncated
 	}
 	d.gen++
+	d.egen++
 	gen := d.gen
 	for i := uint64(0); i < elemCount; i++ {
 		if o >= len(p) {
@@ -319,7 +327,7 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				return ErrFrameSelfLoop
 			}
 			e := graph.Edge{U: graph.VertexID(u), V: graph.VertexID(v)}.Normalize()
-			mark := gen<<1 | 1
+			mark := d.egen<<1 | 1
 			if d.seenE[e] == mark {
 				b.Deduped++
 				continue
@@ -344,6 +352,7 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				continue
 			}
 			d.seenV[v] = mark
+			d.egen++
 			b.Elems = append(b.Elems, Element{
 				Kind: RemoveVertexElement, V: v, Seq: len(b.Elems),
 			})
@@ -365,7 +374,7 @@ func (d *FrameDecoder) DecodePayload(b *Batch) error {
 				return ErrFrameSelfLoop
 			}
 			e := graph.Edge{U: graph.VertexID(u), V: graph.VertexID(v)}.Normalize()
-			mark := gen << 1
+			mark := d.egen << 1
 			if d.seenE[e] == mark {
 				b.Deduped++
 				continue

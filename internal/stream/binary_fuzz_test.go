@@ -81,6 +81,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3})
 	f.Add([]byte{0, 1, 2, 3, 2, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 1, 2, 3, 3, 1, 2, 3, 1, 1, 2, 3})
+	// Edge re-added after its endpoint was removed and re-added: the
+	// second add repeats no operation and must survive.
+	f.Add([]byte{1, 0, 1, 3, 2, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Arbitrary bytes as a frame payload must never panic.
@@ -108,7 +111,8 @@ func FuzzBinaryCodec(f *testing.F) {
 		// last operation per identity wins once, so only a repeat of the
 		// SAME operation (add-add or remove-remove) on a vertex id or
 		// normalized edge is dropped, while add/remove alternation passes
-		// through — the two streams must then be identical, Seq included.
+		// through, and a kept vertex removal resets the edge marks — the
+		// two streams must then be identical, Seq included.
 		src := FromReader(bytes.NewReader(renderText(elems)))
 		const opRemove, opAdd = 1, 2 // 0 = identity unseen this frame
 		seenV := make(map[graph.VertexID]int)
@@ -129,6 +133,12 @@ func FuzzBinaryCodec(f *testing.F) {
 					continue
 				}
 				seenV[el.V] = op
+				if op == opRemove {
+					// A kept vertex removal takes its incident edges
+					// with it: edge operations repeated across it are
+					// not duplicates (the decoder forgets them all).
+					clear(seenE)
+				}
 			default:
 				op := opAdd
 				if el.Kind == RemoveEdgeElement {
