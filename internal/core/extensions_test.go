@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"loom/internal/graph"
@@ -114,14 +115,20 @@ func TestMaxGroupSizeSplitsChain(t *testing.T) {
 }
 
 func TestSplitGroupUnlimitedPassthrough(t *testing.T) {
+	// Without MaxGroupSize the abcd chain is placed as one block of four.
 	p, err := New(baseConfig(8, 2), fig1Trie(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	group := []graph.VertexID{1, 2, 3}
-	blocks := p.splitGroup(1, group, map[graph.VertexID][]graph.VertexID{})
-	if len(blocks) != 1 || len(blocks[0]) != 3 {
-		t.Fatalf("unlimited split = %v, want single block", blocks)
+	elems, err := stream.FromGraph(graph.Path("a", "b", "c", "d"), stream.TemporalOrder, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(stream.NewSliceSource(elems)); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.GroupsSplit != 0 || st.MotifGroups != 1 || st.LargestGroup != 4 {
+		t.Fatalf("unlimited split: %+v, want one unsplit group of 4", st)
 	}
 }
 
@@ -133,23 +140,20 @@ func TestSplitGroupUnreachableMembersAppended(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Neighbour info deliberately omits 9: BFS cannot reach it, but it
-	// must still be placed in some block.
+	// must still come out, after the reachable members, with its (empty)
+	// neighbour list still parallel to it.
 	group := []graph.VertexID{1, 2, 9}
-	neighbors := map[graph.VertexID][]graph.VertexID{1: {2}, 2: {1}}
-	blocks := p.splitGroup(1, group, neighbors)
-	total := 0
-	seen := map[graph.VertexID]bool{}
-	for _, b := range blocks {
-		if len(b) > 2 {
-			t.Fatalf("block %v exceeds cap", b)
-		}
-		for _, v := range b {
-			seen[v] = true
-			total++
-		}
+	p.groupNbrs.Reset(len(group))
+	p.groupNbrs.Set(0, []graph.VertexID{2, 77}, nil)
+	p.groupNbrs.Set(1, []graph.VertexID{1}, []graph.VertexID{88})
+	order := p.splitGroup(2, group)
+	if want := []graph.VertexID{2, 1, 9}; !slices.Equal(order, want) {
+		t.Fatalf("split order = %v, want %v", order, want)
 	}
-	if total != 3 || !seen[9] {
-		t.Fatalf("blocks %v must cover the whole group", blocks)
+	for i, want := range [][]graph.VertexID{{1, 88}, {2, 77}, {}} {
+		if got := p.groupNbrs.Of(i); !slices.Equal(got, want) {
+			t.Fatalf("neighbours of %d after split = %v, want %v", order[i], got, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"loom/internal/graph"
 	"loom/internal/ident"
@@ -106,8 +107,16 @@ type Partitioner struct {
 	// concatenates window and assigned neighbours here instead of
 	// allocating per eviction. Greedy scores the slice transiently and
 	// never retains it.
-	nbrs  []graph.VertexID
-	stats Stats
+	nbrs []graph.VertexID
+	// Motif-group placement scratch, reused across evictions: groupNbrs is
+	// the members' neighbour lists in one flat arena; group backs groupFor's
+	// SplitOverlaps copy; order, perm and visited are splitGroup's BFS.
+	groupNbrs partition.NeighborLists
+	group     []graph.VertexID
+	order     []graph.VertexID
+	perm      []int32
+	visited   []bool
+	stats     Stats
 }
 
 // New returns a LOOM partitioner over the workload summarised by trie.
@@ -200,19 +209,10 @@ func (p *Partitioner) SetAdjacencyOracle(fn func(graph.VertexID) []graph.VertexI
 	p.adjacency = fn
 }
 
-// neighborsOf returns the scoring neighbour list for an evicted vertex.
-// The result is freshly allocated (or oracle-owned), so group placement may
-// retain it across further evictions; the singleton path uses
-// neighborsScratch instead.
-func (p *Partitioner) neighborsOf(ev stream.Eviction) []graph.VertexID {
-	if p.adjacency != nil {
-		return p.adjacency(ev.V)
-	}
-	return append(append([]graph.VertexID(nil), ev.WindowNeighbors...), ev.AssignedNeighbors...)
-}
-
-// neighborsScratch is neighborsOf into the reusable scratch buffer: valid
-// only until the next call, for callers that score and drop the list.
+// neighborsScratch returns the scoring neighbour list of an evicted vertex
+// — the oracle's when one is set, window plus assigned neighbours otherwise
+// — in the reusable scratch buffer: valid only until the next call, for
+// callers that score and drop the list.
 //
 //loom:hotpath
 func (p *Partitioner) neighborsScratch(ev stream.Eviction) []graph.VertexID {
@@ -337,6 +337,8 @@ func (p *Partitioner) Finish() *partition.Assignment {
 
 // assignEvicted places an evicted vertex: wholly with its motif group when
 // it participates in one, individually otherwise (§4.4).
+//
+//loom:hotpath
 func (p *Partitioner) assignEvicted(ev stream.Eviction) {
 	if p.cfg.DisableMotifs {
 		p.assignSingle(ev)
@@ -349,34 +351,36 @@ func (p *Partitioner) assignEvicted(ev stream.Eviction) {
 		return
 	}
 
-	// Gather neighbour information per group member. ev.V has already left
-	// the window; the others are force-evicted now.
-	neighbors := make(map[graph.VertexID][]graph.VertexID, len(group))
-	neighbors[ev.V] = p.neighborsOf(ev)
-	for _, m := range group {
+	// Gather the members' neighbour lists into the arena, parallel to group.
+	// ev.V has already left the window, and its lists are window scratch the
+	// next eviction overwrites, so they go in first; the other members are
+	// force-evicted now, in group order.
+	p.groupNbrs.Reset(len(group))
+	p.setNeighbors(slices.Index(group, ev.V), ev)
+	for i, m := range group {
 		if m == ev.V {
 			continue
 		}
-		mev, ok := p.window.Evict(m)
-		if !ok {
-			// Group member not resident (should not happen: matches only
-			// span resident vertices); fall back to no neighbour info.
-			continue
+		// A member that is not resident (should not happen: matches only
+		// span resident vertices) keeps an empty list.
+		if mev, ok := p.window.Evict(m); ok {
+			p.setNeighbors(i, mev)
 		}
-		neighbors[m] = p.neighborsOf(mev)
 	}
 
-	blocks := p.splitGroup(ev.V, group, neighbors)
-	if len(blocks) > 1 {
+	order, step := group, len(group)
+	if limit := p.cfg.MaxGroupSize; limit > 0 && len(group) > limit {
+		order, step = p.splitGroup(ev.V, group), limit
 		p.stats.GroupsSplit++
 	}
-	for _, block := range blocks {
-		p.placeGroup(block, neighbors)
+	for lo := 0; lo < len(order); lo += step {
+		hi := min(lo+step, len(order))
+		p.placeGroup(order[lo:hi], p.groupNbrs.Range(lo, hi))
 		p.stats.MotifGroups++
-		p.stats.GroupedVertices += len(block)
-		p.stats.VerticesAssigned += len(block)
-		if len(block) > p.stats.LargestGroup {
-			p.stats.LargestGroup = len(block)
+		p.stats.GroupedVertices += hi - lo
+		p.stats.VerticesAssigned += hi - lo
+		if hi-lo > p.stats.LargestGroup {
+			p.stats.LargestGroup = hi - lo
 		}
 	}
 	for _, m := range group {
@@ -384,9 +388,23 @@ func (p *Partitioner) assignEvicted(ev stream.Eviction) {
 	}
 }
 
+// setNeighbors records the scoring neighbour list of evicted group member i:
+// the oracle's when one is set, window plus assigned neighbours otherwise.
+//
+//loom:hotpath
+func (p *Partitioner) setNeighbors(i int, ev stream.Eviction) {
+	if p.adjacency != nil {
+		p.groupNbrs.Set(i, p.adjacency(ev.V), nil)
+		return
+	}
+	p.groupNbrs.Set(i, ev.WindowNeighbors, ev.AssignedNeighbors)
+}
+
 // placeGroup assigns one block atomically, with or without traversal
 // weighting.
-func (p *Partitioner) placeGroup(block []graph.VertexID, neighbors map[graph.VertexID][]graph.VertexID) {
+//
+//loom:hotpath
+func (p *Partitioner) placeGroup(block []graph.VertexID, neighbors partition.NeighborLists) {
 	if p.cfg.TraversalWeighting {
 		p.ldg.PlaceGroupWeighted(block, neighbors, p.edgeWeight)
 		return
@@ -407,69 +425,62 @@ func (p *Partitioner) edgeWeight(v, n graph.VertexID) float64 {
 	return p.cfg.TraversalBias + p.trie.PEdgeByID(p.labelIDs[hv], p.labelIDs[hn])
 }
 
-// splitGroup applies MaxGroupSize: groups within the cap (or with the cap
-// disabled) come back as one block; larger groups are chunked along a BFS
-// order over the group's internal adjacency starting from the evicted
-// vertex, so each block is a locally connected region of the matched
-// sub-graph (the paper's future-work local partitioning).
-func (p *Partitioner) splitGroup(start graph.VertexID, group []graph.VertexID, neighbors map[graph.VertexID][]graph.VertexID) [][]graph.VertexID {
-	max := p.cfg.MaxGroupSize
-	if max == 0 || len(group) <= max {
-		return [][]graph.VertexID{group}
-	}
-	inGroup := make(map[graph.VertexID]struct{}, len(group))
-	for _, v := range group {
-		inGroup[v] = struct{}{}
+// splitGroup applies MaxGroupSize to an oversized group: it returns the
+// members in BFS order over the group's internal adjacency starting from the
+// evicted vertex, with the neighbour arena permuted to match, so each run of
+// MaxGroupSize members is a locally connected region of the matched
+// sub-graph (the paper's future-work local partitioning). group is sorted.
+//
+//loom:hotpath
+func (p *Partitioner) splitGroup(start graph.VertexID, group []graph.VertexID) []graph.VertexID {
+	p.visited = p.visited[:0]
+	for range group {
+		p.visited = append(p.visited, false)
 	}
 	// BFS over group-internal edges (derived from the captured neighbour
-	// lists, which include both window and assigned neighbours).
-	visited := map[graph.VertexID]struct{}{start: {}}
-	order := []graph.VertexID{start}
-	queue := []graph.VertexID{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range neighbors[v] {
-			if _, in := inGroup[u]; !in {
+	// lists, which include both window and assigned neighbours); perm queues
+	// positions in group.
+	s := slices.Index(group, start)
+	p.visited[s] = true
+	p.perm = append(p.perm[:0], int32(s))
+	for q := 0; q < len(p.perm); q++ {
+		for _, u := range p.groupNbrs.Of(int(p.perm[q])) {
+			j, in := slices.BinarySearch(group, u)
+			if !in || p.visited[j] {
 				continue
 			}
-			if _, seen := visited[u]; seen {
-				continue
-			}
-			visited[u] = struct{}{}
-			order = append(order, u)
-			queue = append(queue, u)
+			p.visited[j] = true
+			p.perm = append(p.perm, int32(j))
 		}
 	}
 	// Overlap closures are connected, but guard against unreachable
 	// members (e.g. truncated neighbour info) by appending them.
-	for _, v := range group {
-		if _, seen := visited[v]; !seen {
-			order = append(order, v)
+	for j := range group {
+		if !p.visited[j] {
+			p.perm = append(p.perm, int32(j))
 		}
 	}
-	var blocks [][]graph.VertexID
-	for i := 0; i < len(order); i += max {
-		end := i + max
-		if end > len(order) {
-			end = len(order)
-		}
-		blocks = append(blocks, order[i:end])
+	p.groupNbrs.Permute(p.perm)
+	p.order = p.order[:0]
+	for _, j := range p.perm {
+		p.order = append(p.order, group[j])
 	}
-	return blocks
+	return p.order
 }
 
-// groupFor returns the vertex set to assign together with v: the transitive
-// overlap closure of its matches (paper behaviour) or just its largest
-// match (SplitOverlaps ablation). The result includes v; a vertex with no
-// matches yields {v}.
+// groupFor returns the vertex set to assign together with v, sorted: the
+// transitive overlap closure of its matches (paper behaviour) or just its
+// largest match (SplitOverlaps ablation). The result includes v; a vertex
+// with no matches yields {v}. It is scratch, valid until the next call.
 func (p *Partitioner) groupFor(v graph.VertexID) []graph.VertexID {
 	if p.cfg.SplitOverlaps {
-		ms := p.tracker.MatchesContaining(v)
-		if len(ms) == 0 {
-			return []graph.VertexID{v}
+		// Copied: the match's own slice dies with the match, and the
+		// group outlives the RemoveVertex calls that drop it.
+		p.group = append(p.group[:0], v)
+		if ms := p.tracker.MatchesContaining(v); len(ms) > 0 {
+			p.group = append(p.group[:0], ms[0].Vertices()...)
 		}
-		return ms[0].Vertices()
+		return p.group
 	}
 	return p.tracker.GroupFor(v)
 }

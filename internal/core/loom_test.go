@@ -340,3 +340,50 @@ func TestPropertyLoomAssignsAllUnderAnyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoomSteadyStateAllocs pins the allocation budget of the whole LOOM
+// element path — window, tracker (tryExtend, reexpand, the cap path),
+// GroupFor, the neighbour arena and group LDG — on the stream shape that
+// loads it: a locality-0.5 community stream through a 256-vertex window
+// against the hot-mix trie. After a warm-up that grows the slab, the
+// scratch buffers and the memo, consuming further elements may allocate at
+// most 2 times per evicted vertex (what is left is the amortised growth of
+// the assignment and the interners as the vertex population grows; the
+// map-backed tracker spent 80 here).
+func TestLoomSteadyStateAllocs(t *testing.T) {
+	const n, warm, perRun = 24 * benchWindow, 8 * benchWindow, 2 * benchWindow
+	elems := communityStream(n)
+	p, err := New(communityConfig(n), hotMixTrie(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	consume := func(vertices int) {
+		for ; next < len(elems); next++ {
+			if el := elems[next]; el.Kind == stream.VertexElement {
+				if vertices == 0 {
+					return
+				}
+				vertices--
+			}
+			if err := p.Consume(elems[next]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	consume(warm)
+	before := p.Stats()
+	const runs = (n-warm)/perRun - 1 // AllocsPerRun makes one extra warm-up call
+	allocs := testing.AllocsPerRun(runs, func() { consume(perRun) })
+	st := p.Stats()
+	evicted := float64(st.VerticesAssigned-before.VerticesAssigned) / float64(runs+1)
+	if st.GroupedVertices == before.GroupedVertices || st.Tracker.MatchesExtended == before.Tracker.MatchesExtended ||
+		st.Tracker.MatchesDropped == before.Tracker.MatchesDropped {
+		t.Fatalf("measured stretch never grouped, grew or capped a match: %+v", st)
+	}
+	perVertex := allocs / evicted
+	t.Logf("%.0f allocs per %.0f evicted vertices = %.3f allocs/vertex", allocs, evicted, perVertex)
+	if perVertex > 2 {
+		t.Fatalf("LOOM steady state allocates %.2f times per evicted vertex, budget 2", perVertex)
+	}
+}

@@ -142,7 +142,7 @@ func (r *Runner) E10() (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "Ablation: signature-only vs verified motif matching",
-		Columns: []string{"variant", "traversal prob", "matches created", "verify rejections", "motif groups"},
+		Columns: []string{"variant", "traversal prob", "matches registered", "verify rejections", "motif groups"},
 	}
 	base := r.loomConfig(n, k, 256, 0.05)
 	a1, p1, err := r.runLoom(inst, base, stream.RandomOrder)
@@ -164,9 +164,10 @@ func (r *Runner) E10() (*Table, error) {
 		return nil, err
 	}
 	s1, s2 := p1.Stats(), p2.Stats()
-	t.AddRow("signature-only", fmtF(pr1), fmt.Sprintf("%d", s1.Tracker.MatchesCreated),
+	// Every registered match: seeded by re-expansion or grown from another.
+	t.AddRow("signature-only", fmtF(pr1), fmt.Sprintf("%d", s1.Tracker.MatchesCreated+s1.Tracker.MatchesExtended),
 		fmt.Sprintf("%d", s1.Tracker.VerifyRejections), fmt.Sprintf("%d", s1.MotifGroups))
-	t.AddRow("verified", fmtF(pr2), fmt.Sprintf("%d", s2.Tracker.MatchesCreated),
+	t.AddRow("verified", fmtF(pr2), fmt.Sprintf("%d", s2.Tracker.MatchesCreated+s2.Tracker.MatchesExtended),
 		fmt.Sprintf("%d", s2.Tracker.VerifyRejections), fmt.Sprintf("%d", s2.MotifGroups))
 	t.AddNote("Song et al. skip verification for partitioning; rejections measure what that costs")
 	return t, nil

@@ -175,6 +175,24 @@ func (t *Trie) ChildFor(n *Node, k string) (*Node, bool) {
 	return c, ok
 }
 
+// ChildByLabels returns the child of n reached by adding one edge whose
+// endpoints carry labels lu and lv; addU/addV say which endpoints are new
+// to the motif (both false closes a cycle). It multiplies n's signature by
+// the new factors and probes n's children by key — the signature path —
+// so callers that memoise the answer (pattern.Tracker) see exactly the
+// trie's own matching semantics.
+func (t *Trie) ChildByLabels(n *Node, lu, lv ident.LabelID, addU, addV bool) (*Node, bool) {
+	sig := n.Sig.Clone()
+	if addU {
+		sig.MulPrime(t.factory.VertexFactorByID(lu))
+	}
+	if addV {
+		sig.MulPrime(t.factory.VertexFactorByID(lv))
+	}
+	sig.MulPrime(t.factory.EdgeFactorByID(lu, lv))
+	return t.ChildFor(n, sig.Key())
+}
+
 // P returns the probability that a random query from the captured workload
 // contains motif n: Support / TotalWeight. It is 0 before any query is
 // added.

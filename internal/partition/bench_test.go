@@ -49,19 +49,17 @@ func BenchmarkGreedyPlaceGroup(b *testing.B) {
 	}
 	external := benchNeighbors(b, ldg, cfg.K)
 	group := make([]graph.VertexID, 4)
-	neighbors := make(map[graph.VertexID][]graph.VertexID, 4)
+	var neighbors NeighborLists
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := graph.VertexID(100 + 4*(i&0xFFFF))
+		neighbors.Reset(len(group))
 		for j := range group {
 			group[j] = base + graph.VertexID(j)
-			neighbors[group[j]] = external
+			neighbors.Set(j, external, nil)
 		}
 		ldg.PlaceGroup(group, neighbors)
-		for j := range group {
-			delete(neighbors, group[j])
-		}
 	}
 }
 

@@ -298,6 +298,16 @@ func TestExponentialGreedyName(t *testing.T) {
 	g.Place(1, nil) // smoke: must not panic
 }
 
+// neighborLists builds a NeighborLists arena from one list per group member.
+func neighborLists(lists ...[]graph.VertexID) NeighborLists {
+	var l NeighborLists
+	l.Reset(len(lists))
+	for i, ns := range lists {
+		l.Set(i, ns, nil)
+	}
+	return l
+}
+
 func TestPlaceGroupAtomicAndInternalEdgesIgnored(t *testing.T) {
 	ldg, err := NewLDG(Config{K: 2, ExpectedVertices: 8, Seed: 2})
 	if err != nil {
@@ -306,11 +316,11 @@ func TestPlaceGroupAtomicAndInternalEdgesIgnored(t *testing.T) {
 	a := ldg.Assignment()
 	mustSet(t, a, 100, 1) // anchor on partition 1
 	group := []graph.VertexID{1, 2, 3}
-	neighbors := map[graph.VertexID][]graph.VertexID{
-		1: {2, 3},   // internal only
-		2: {1, 100}, // one external link to partition 1
-		3: {1, 2},
-	}
+	neighbors := neighborLists(
+		[]graph.VertexID{2, 3},   // internal only
+		[]graph.VertexID{1, 100}, // one external link to partition 1
+		[]graph.VertexID{1, 2},
+	)
 	p := ldg.PlaceGroup(group, neighbors)
 	if p != 1 {
 		t.Fatalf("group placed on %d, want 1 (follows external link)", p)
@@ -358,7 +368,7 @@ func TestPlaceGroupWeighted(t *testing.T) {
 	a := ldg.Assignment()
 	mustSet(t, a, 50, 1)
 	group := []graph.VertexID{1, 2}
-	neighbors := map[graph.VertexID][]graph.VertexID{1: {2, 50}, 2: {1}}
+	neighbors := neighborLists([]graph.VertexID{2, 50}, []graph.VertexID{1})
 	p := ldg.PlaceGroupWeighted(group, neighbors, func(_, _ graph.VertexID) float64 { return 2.0 })
 	if p != 1 {
 		t.Fatalf("group placed on %d, want 1", p)

@@ -261,6 +261,7 @@ func TestDenseGroupPlacementMatchesReference(t *testing.T) {
 		}
 		ref := newRefLDG(cfg)
 		rng := rand.New(rand.NewSource(seed + 5))
+		var arena NeighborLists
 		for i := 0; i < len(order); {
 			gs := 1 + rng.Intn(4)
 			if i+gs > len(order) {
@@ -268,11 +269,14 @@ func TestDenseGroupPlacementMatchesReference(t *testing.T) {
 			}
 			group := order[i : i+gs]
 			i += gs
+			// The dense engine reads the flat arena, the reference its map.
 			neighbors := make(map[graph.VertexID][]graph.VertexID, gs)
-			for _, v := range group {
+			arena.Reset(gs)
+			for j, v := range group {
 				neighbors[v] = g.Neighbors(v)
+				arena.Set(j, neighbors[v], nil)
 			}
-			got := ldg.PlaceGroup(group, neighbors)
+			got := ldg.PlaceGroup(group, arena)
 			want := refPlaceGroup(ref, group, neighbors)
 			if got != want {
 				t.Fatalf("trial %d: PlaceGroup diverged at group %v: dense %d, reference %d", trial, group, got, want)

@@ -255,14 +255,67 @@ func (g *Greedy) Place(v graph.VertexID, neighbors []graph.VertexID) ID {
 	return p
 }
 
+// NeighborLists holds the neighbour lists of a vertex group back to back in
+// one arena: list i belongs to the group's i-th member. LOOM refills one
+// NeighborLists per motif-group eviction, so group placement allocates
+// nothing once the arena has grown to the largest group seen. The zero
+// value is an empty set of lists.
+type NeighborLists struct {
+	spans [][2]int32 // list i is ids[spans[i][0]:spans[i][1]]
+	ids   []graph.VertexID
+	old   [][2]int32 // Permute's scratch
+}
+
+// Reset empties the arena and sizes it for n lists, all empty until Set.
+//
+//loom:hotpath
+func (l *NeighborLists) Reset(n int) {
+	l.ids = l.ids[:0]
+	l.spans = l.spans[:0]
+	for i := 0; i < n; i++ {
+		l.spans = append(l.spans, [2]int32{})
+	}
+}
+
+// Set makes list i the concatenation of a and b (either may be nil), copied
+// into the arena. Lists may be set in any order.
+//
+//loom:hotpath
+func (l *NeighborLists) Set(i int, a, b []graph.VertexID) {
+	start := len(l.ids)
+	l.ids = append(l.ids, a...)
+	l.ids = append(l.ids, b...)
+	l.spans[i] = [2]int32{int32(start), int32(len(l.ids))}
+}
+
+// Of returns list i. The slice aliases the arena: valid until the next Reset.
+func (l NeighborLists) Of(i int) []graph.VertexID {
+	return l.ids[l.spans[i][0]:l.spans[i][1]]
+}
+
+// Range returns a view of lists [lo, hi), sharing l's arena.
+func (l NeighborLists) Range(lo, hi int) NeighborLists {
+	return NeighborLists{spans: l.spans[lo:hi], ids: l.ids}
+}
+
+// Permute reorders the lists so that list i becomes the former list perm[i]
+// (the arena bytes stay put): a caller reordering its group keeps the lists
+// parallel to it.
+func (l *NeighborLists) Permute(perm []int32) {
+	l.old = append(l.old[:0], l.spans...)
+	for i, j := range perm {
+		l.spans[i] = l.old[j]
+	}
+}
+
 // PlaceGroup atomically places a connected group of vertices (a motif
 // match) on a single partition, scoring by the total number of edges from
 // all group members to each partition (the sub-graph extension of LDG,
-// paper footnote 1). neighbors maps each group vertex to its known
-// neighbours outside the group.
+// paper footnote 1). neighbors.Of(i) lists the known neighbours of group[i];
+// those inside the group are ignored.
 //
 //loom:hotpath
-func (g *Greedy) PlaceGroup(group []graph.VertexID, neighbors map[graph.VertexID][]graph.VertexID) ID {
+func (g *Greedy) PlaceGroup(group []graph.VertexID, neighbors NeighborLists) ID {
 	p := g.scoreGroupWeighted(group, neighbors, nil)
 	for _, v := range group {
 		_ = g.a.Set(v, p)
@@ -290,7 +343,7 @@ func (g *Greedy) PlaceWeighted(v graph.VertexID, neighbors []graph.VertexID, wei
 // PlaceGroupWeighted is PlaceGroup with per-edge weights.
 //
 //loom:hotpath
-func (g *Greedy) PlaceGroupWeighted(group []graph.VertexID, neighbors map[graph.VertexID][]graph.VertexID, weightFn EdgeWeightFunc) ID {
+func (g *Greedy) PlaceGroupWeighted(group []graph.VertexID, neighbors NeighborLists, weightFn EdgeWeightFunc) ID {
 	p := g.scoreGroupWeighted(group, neighbors, weightFn)
 	for _, v := range group {
 		_ = g.a.Set(v, p)
@@ -373,12 +426,12 @@ func (g *Greedy) inGroup(n graph.VertexID, gen uint32) bool {
 // counts weightFn(v, n).
 //
 //loom:hotpath
-func (g *Greedy) scoreGroupWeighted(group []graph.VertexID, neighbors map[graph.VertexID][]graph.VertexID, weightFn EdgeWeightFunc) ID {
+func (g *Greedy) scoreGroupWeighted(group []graph.VertexID, neighbors NeighborLists, weightFn EdgeWeightFunc) ID {
 	gen := g.markGroup(group)
 	// Weighted edges from the group to each partition.
 	links := g.resetLinks()
-	for _, v := range group {
-		for _, n := range neighbors[v] {
+	for i, v := range group {
+		for _, n := range neighbors.Of(i) {
 			if g.inGroup(n, gen) {
 				continue
 			}

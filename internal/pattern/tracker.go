@@ -15,87 +15,131 @@
 // Signature matching is non-authoritative; the optional Verify mode
 // confirms each candidate match with exact isomorphism (experiment E10
 // quantifies the difference).
+//
+// The tracker's state is flat: matches live in a slab with a free list and
+// hold their vertices and edges as small sorted slices, the per-vertex
+// match index is a dense table behind the tracker's own ident.Interner,
+// match deduplication is a hash table keyed by a 64-bit hash of the sorted
+// edge array, and "which TPSTry++ child does this edge lead to" is a
+// memoised table lookup filled through motif.Trie.ChildByLabels. In steady
+// state an observed edge or an evicted vertex allocates nothing.
 package pattern
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 
 	"loom/internal/graph"
+	"loom/internal/ident"
 	"loom/internal/iso"
 	"loom/internal/motif"
 	"loom/internal/signature"
 )
 
-// Match is an active motif match inside the stream window.
+// Match is an active motif match inside the stream window. Its signature is
+// Node.Sig.
+//
+// A Match and the slices Vertices and Edges return belong to the tracker's
+// slab: they are valid until the tracker drops the match (RemoveVertex,
+// RemoveEdge, or the per-vertex cap during a later ObserveEdge), after
+// which the storage is reused for another match. Callers that keep either
+// across such a call must copy.
 type Match struct {
 	// ID is unique per tracker, in creation order.
 	ID int64
 	// Node is the TPSTry++ motif this sub-graph matches.
 	Node *motif.Node
-	// Sig is the running signature of the matched sub-graph.
-	Sig *signature.Signature
 
-	vertices map[graph.VertexID]struct{}
-	edges    map[graph.Edge]struct{}
+	verts []graph.VertexID // ascending
+	slots []ident.Handle   // slots[i] is verts[i]'s handle in Tracker.vidx
+	edges []graph.Edge     // normalized, ascending by (U, V)
+	hash  uint64           // hashEdges(edges), the dedup key, computed once at registration
+	p     float64          // trie.P(Node), the per-vertex cap's value order
+	next  *Match           // dedup-bucket chain while live, free-list link otherwise
+	mark  uint64           // GroupFor visit stamp
 }
 
-// Vertices returns the matched vertices in ascending order.
-func (m *Match) Vertices() []graph.VertexID {
-	out := make([]graph.VertexID, 0, len(m.vertices))
-	for v := range m.vertices {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Vertices returns the matched vertices in ascending order. The slice is the
+// match's own storage: read-only, and valid only as long as the match (see
+// Match).
+func (m *Match) Vertices() []graph.VertexID { return m.verts }
 
-// Edges returns the matched edges, normalized and sorted.
-func (m *Match) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(m.edges))
-	for e := range m.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
+// Edges returns the matched edges, normalized and sorted, under the same
+// lifetime contract as Vertices.
+func (m *Match) Edges() []graph.Edge { return m.edges }
 
 // Contains reports whether v participates in the match.
 func (m *Match) Contains(v graph.VertexID) bool {
-	_, ok := m.vertices[v]
-	return ok
+	return slices.Contains(m.verts, v)
 }
 
 // Size returns the number of matched vertices.
-func (m *Match) Size() int { return len(m.vertices) }
-
-// key canonically identifies the match's sub-graph for deduplication.
-func (m *Match) key() string {
-	sb := make([]byte, 0, 8*(len(m.vertices)+2*len(m.edges)))
-	for _, v := range m.Vertices() {
-		sb = strconv.AppendInt(sb, int64(v), 10)
-		sb = append(sb, ',')
-	}
-	sb = append(sb, '|')
-	for _, e := range m.Edges() {
-		sb = strconv.AppendInt(sb, int64(e.U), 10)
-		sb = append(sb, '-')
-		sb = strconv.AppendInt(sb, int64(e.V), 10)
-		sb = append(sb, ',')
-	}
-	return string(sb)
-}
+func (m *Match) Size() int { return len(m.verts) }
 
 // String implements fmt.Stringer.
 func (m *Match) String() string {
-	return fmt.Sprintf("match#%d{%v ~ %v}", m.ID, m.Vertices(), m.Node)
+	return fmt.Sprintf("match#%d{%v ~ %v}", m.ID, m.verts, m.Node)
+}
+
+// addVertex inserts v into the sorted vertex slice.
+func (m *Match) addVertex(v graph.VertexID) {
+	i, _ := slices.BinarySearch(m.verts, v)
+	m.verts = slices.Insert(m.verts, i, v)
+}
+
+// addEdge inserts e into the sorted edge slice.
+func (m *Match) addEdge(e graph.Edge) {
+	i, _ := slices.BinarySearchFunc(m.edges, e, compareEdges)
+	m.edges = slices.Insert(m.edges, i, e)
+}
+
+// compareEdges orders normalized edges by (U, V).
+func compareEdges(a, b graph.Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// byValue orders matches most valuable first for the per-vertex cap: larger
+// motifs, then higher p-value, then newer.
+func byValue(a, b *Match) int {
+	if c := cmp.Compare(len(b.verts), len(a.verts)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.p, a.p); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.ID, a.ID)
+}
+
+// bySizeThenID orders matches largest first, oldest first among equals.
+func bySizeThenID(a, b *Match) int {
+	if c := cmp.Compare(len(b.verts), len(a.verts)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// hashEdges is the dedup key of a match: a 64-bit hash of its sorted edge
+// array. (The vertex set is the edges' endpoint set, so it adds nothing to
+// the hash; equality on a hit still compares both arrays.)
+func hashEdges(es []graph.Edge) uint64 {
+	h := uint64(len(es))
+	for _, e := range es {
+		h = mix64(h ^ uint64(e.U))
+		h = mix64(h ^ uint64(e.V))
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finaliser.
+func mix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }
 
 // Options configures a Tracker.
@@ -118,7 +162,9 @@ type Options struct {
 // leaves it zero.
 const DefaultMaxMatchesPerVertex = 8
 
-// Stats counts tracker activity for experiments.
+// Stats counts tracker activity for experiments. Every registered match
+// counts once: in MatchesCreated when re-expansion seeded it from an edge,
+// in MatchesExtended when it grew out of an existing match.
 type Stats struct {
 	MatchesCreated   int
 	MatchesExtended  int
@@ -127,22 +173,74 @@ type Stats struct {
 	VerifyRejections int
 }
 
+// slabChunk is how many matches the slab grows by at a time.
+const slabChunk = 64
+
+// noChild marks a memoised transition that leads nowhere (no such TPSTry++
+// child, or one below the threshold); nil means "not probed yet".
+var noChild = new(motif.Node)
+
+// snapRef pins one match of ObserveEdge's snapshot: the match is still the
+// one snapshotted iff its ID is unchanged (a dropped match's ID is reset and
+// a recycled one gets a fresh, larger ID).
+type snapRef struct {
+	m  *Match
+	id int64
+}
+
 // Tracker maintains the motif matches inside the current stream window.
-// It is not safe for concurrent use.
+// The trie must be complete before NewTracker: the tracker memoises its
+// roots, transitions, p-values and largest motif size. It is not safe for
+// concurrent use.
 type Tracker struct {
 	trie    *motif.Trie
 	factory *signature.Factory
+	labels  *ident.Labels // the factory's label interner
 	opts    Options
 
-	nextID   int64
-	matches  map[int64]*Match
-	byVertex map[graph.VertexID]map[int64]struct{}
-	byKey    map[string]int64
-	stats    Stats
-	// capVerts is enforceCaps's reusable sorted-visit scratch; together
-	// with slices.Sort it keeps the per-match determinism sort off the
-	// allocator on the ingest path.
-	capVerts []graph.VertexID
+	nextID int64
+	live   int // matches currently registered
+	stats  Stats
+
+	// The match slab: free heads the recycled matches, each carrying vertex
+	// and edge storage for the trie's largest motif (maxV vertices, maxE
+	// edges), carved slabChunk matches at a time.
+	free       *Match
+	maxV, maxE int
+
+	// buckets is the dedup hash table (power-of-two size, chained through
+	// Match.next, indexed by Match.hash).
+	buckets []*Match
+
+	// The per-vertex match index. vidx interns the vertices that are in at
+	// least one live match — the tracker's own handles, because the window
+	// graph recycles its handle for an evicted vertex before RemoveVertex
+	// runs here. byVertex[h] lists the matches containing the vertex in
+	// ascending ID order; seen[h] is GroupFor's visit stamp.
+	vidx     *ident.Interner
+	byVertex [][]*Match
+	seen     []uint64
+	gen      uint64 // current GroupFor stamp; 64 bits, so it never wraps
+
+	// The transition memo. Labels at or beyond stride were interned after
+	// the trie was built and occur in no motif. roots[l] is the frequent
+	// single-vertex motif of label l (nil if none); memo[n.ID], allocated on
+	// n's first probe, caches child(n, lu, lv, kind) at
+	// (lu*stride+lv)*3+kind.
+	stride     int
+	roots      []*motif.Node
+	memo       [][]*motif.Node
+	rootProbes int // root lookups made by seed, pinned by the same-label regression test
+
+	// Scratch, reused across calls.
+	snap     []snapRef        // ObserveEdge's candidate snapshot
+	expand   []graph.VertexID // reexpand: the seed's vertices in joining order
+	nbrs     []graph.VertexID // frontierEdges: one vertex's window neighbours
+	frontier []graph.Edge     // frontierEdges' result
+	capSlots []ident.Handle   // enforceCaps: the new match's vertex handles
+	capSort  []*Match         // enforceCaps: one vertex's matches by value; RemoveEdge's victims
+	queue    []ident.Handle   // GroupFor's closure walk
+	group    []graph.VertexID // GroupFor's result
 	// single backs GroupFor's matchless fast path, so the common
 	// one-vertex group costs no allocation.
 	single [1]graph.VertexID
@@ -153,70 +251,216 @@ func NewTracker(trie *motif.Trie, opts Options) *Tracker {
 	if opts.MaxMatchesPerVertex <= 0 {
 		opts.MaxMatchesPerVertex = DefaultMaxMatchesPerVertex
 	}
-	return &Tracker{
-		trie:     trie,
-		factory:  trie.Factory(),
-		opts:     opts,
-		matches:  make(map[int64]*Match),
-		byVertex: make(map[graph.VertexID]map[int64]struct{}),
-		byKey:    make(map[string]int64),
+	t := &Tracker{
+		trie:    trie,
+		factory: trie.Factory(),
+		labels:  trie.Factory().Labels(),
+		opts:    opts,
+		vidx:    ident.NewInterner(),
+		memo:    make([][]*motif.Node, trie.NumNodes()),
 	}
+	t.stride = t.labels.Len()
+	t.roots = make([]*motif.Node, t.stride)
+	for l := range t.roots {
+		if n, ok := trie.RootFor(graph.Label(t.labels.Name(ident.LabelID(l)))); ok && t.frequent(n) {
+			t.roots[l] = n
+		}
+	}
+	for _, n := range trie.Nodes() {
+		t.maxV = max(t.maxV, n.NumVertices())
+		t.maxE = max(t.maxE, n.NumEdges())
+	}
+	return t
 }
 
 // Stats returns a copy of the tracker's activity counters.
 func (t *Tracker) Stats() Stats { return t.stats }
 
-// factorsFor returns the signature factors of an edge's endpoints: the two
-// vertex factors and the edge factor. When the window graph shares the
-// factory's label interner (LOOM's configuration) the probes are LabelID
-// slice reads; otherwise they fall back to hashing the label strings.
-func (t *Tracker) factorsFor(w *graph.Graph, u, v graph.VertexID) (fu, fv, fe uint64) {
-	if w.LabelInterner() == t.factory.Labels() {
-		lu, uok := w.LabelIDOf(u)
-		lv, vok := w.LabelIDOf(v)
-		// A non-resident endpoint has no LabelID; feeding NoLabel to the
-		// ByID tables would grow them toward 2^32 entries, so fall through
-		// to the string path, which degrades to the empty label like the
-		// pre-interned code did. (ObserveEdge checks residency, so this is
-		// defensive.)
-		if uok && vok {
-			return t.factory.VertexFactorByID(lu), t.factory.VertexFactorByID(lv), t.factory.EdgeFactorByID(lu, lv)
-		}
-	}
-	la, _ := w.Label(u)
-	lb, _ := w.Label(v)
-	return t.factory.VertexFactor(la), t.factory.VertexFactor(lb), t.factory.EdgeFactor(la, lb)
-}
-
 // ActiveMatches returns the number of live matches.
-func (t *Tracker) ActiveMatches() int { return len(t.matches) }
+func (t *Tracker) ActiveMatches() int { return t.live }
 
 // frequent reports whether node n clears the tracking threshold.
 func (t *Tracker) frequent(n *motif.Node) bool {
-	return n != nil && t.trie.P(n) >= t.opts.Threshold
+	return t.trie.P(n) >= t.opts.Threshold
+}
+
+// labelIDs returns the factory LabelIDs of two window vertices. When the
+// window graph shares the factory's label interner (LOOM's configuration)
+// these are slice reads; otherwise the label strings are interned. A
+// non-resident vertex reads as ident.NoLabel, which is beyond every stride
+// and so matches nothing.
+func (t *Tracker) labelIDs(w *graph.Graph, u, v graph.VertexID) (lu, lv ident.LabelID) {
+	if w.LabelInterner() == t.labels {
+		lu, _ = w.LabelIDOf(u)
+		lv, _ = w.LabelIDOf(v)
+		return lu, lv
+	}
+	lu, lv = ident.NoLabel, ident.NoLabel
+	if l, ok := w.Label(u); ok {
+		lu = t.factory.LabelID(l)
+	}
+	if l, ok := w.Label(v); ok {
+		lv = t.factory.LabelID(l)
+	}
+	return lu, lv
+}
+
+// child is the memoised transition: the frequent TPSTry++ child reached
+// from n by adding an edge between vertices labelled lu and lv, of which
+// addU/addV are new to the match, or nil when the edge leaves the trie.
+// Misses go through motif.Trie.ChildByLabels — the signature path — once
+// per (n, lu, lv, kind).
+//
+//loom:hotpath
+func (t *Tracker) child(n *motif.Node, lu, lv ident.LabelID, addU, addV bool) *motif.Node {
+	if int(lu) >= t.stride || int(lv) >= t.stride {
+		return nil
+	}
+	row := t.memo[n.ID]
+	if row == nil {
+		// One row per TPSTry++ node, on the node's first probe only.
+		row = make([]*motif.Node, t.stride*t.stride*3)
+		t.memo[n.ID] = row
+	}
+	i := (int(lu)*t.stride + int(lv)) * 3
+	switch {
+	case addU:
+		i++
+	case addV:
+		i += 2
+	}
+	c := row[i]
+	if c == nil {
+		c = noChild
+		if x, ok := t.trie.ChildByLabels(n, lu, lv, addU, addV); ok && t.frequent(x) {
+			c = x
+		}
+		row[i] = c
+	}
+	if c == noChild {
+		return nil
+	}
+	return c
+}
+
+// root returns the frequent single-vertex motif of label l, or nil.
+func (t *Tracker) root(l ident.LabelID) *motif.Node {
+	t.rootProbes++
+	if int(l) >= len(t.roots) {
+		return nil
+	}
+	return t.roots[l]
+}
+
+// seed returns the two-vertex motif for an edge whose endpoints are
+// labelled lu and lv, or nil when the trie has none above threshold: the
+// root of one endpoint's label extended by the edge. The orientations are
+// tried U first; labels may differ in which root exists, and equal labels
+// make the second orientation the same probe as the first.
+func (t *Tracker) seed(lu, lv ident.LabelID) *motif.Node {
+	if r := t.root(lu); r != nil {
+		if c := t.child(r, lu, lv, false, true); c != nil {
+			return c
+		}
+	}
+	if lv == lu {
+		return nil
+	}
+	if r := t.root(lv); r != nil {
+		if c := t.child(r, lu, lv, true, false); c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
+// alloc takes an empty match off the slab's free list.
+func (t *Tracker) alloc() *Match {
+	if t.free == nil {
+		t.growSlab()
+	}
+	m := t.free
+	t.free, m.next = m.next, nil
+	m.verts, m.slots, m.edges = m.verts[:0], m.slots[:0], m.edges[:0]
+	return m
+}
+
+// release returns m to the free list. Resetting the ID is what tells
+// ObserveEdge's snapshot the match is gone.
+func (t *Tracker) release(m *Match) {
+	m.ID, m.Node = -1, nil
+	m.next, t.free = t.free, m
+}
+
+// growSlab carves slabChunk more matches, each with storage for the trie's
+// largest motif. The three-index slices keep an (impossible) overflow from
+// spilling into the neighbouring match's storage.
+func (t *Tracker) growSlab() {
+	ms := make([]Match, slabChunk)
+	vs := make([]graph.VertexID, slabChunk*t.maxV)
+	hs := make([]ident.Handle, slabChunk*t.maxV)
+	es := make([]graph.Edge, slabChunk*t.maxE)
+	for i := range ms {
+		m := &ms[i]
+		m.verts = vs[i*t.maxV : i*t.maxV : (i+1)*t.maxV]
+		m.slots = hs[i*t.maxV : i*t.maxV : (i+1)*t.maxV]
+		m.edges = es[i*t.maxE : i*t.maxE : (i+1)*t.maxE]
+		t.release(m)
+	}
+}
+
+// findDup reports whether a live match has exactly m's vertices and edges.
+func (t *Tracker) findDup(m *Match) bool {
+	if len(t.buckets) == 0 {
+		return false
+	}
+	for c := t.buckets[m.hash&uint64(len(t.buckets)-1)]; c != nil; c = c.next {
+		if c.hash == m.hash && slices.Equal(c.edges, m.edges) && slices.Equal(c.verts, m.verts) {
+			return true
+		}
+	}
+	return false
+}
+
+// growTable doubles the dedup table and rehashes the live matches.
+func (t *Tracker) growTable() {
+	old := t.buckets
+	t.buckets = make([]*Match, max(slabChunk, 2*len(old)))
+	mask := uint64(len(t.buckets) - 1)
+	for _, c := range old {
+		for c != nil {
+			next := c.next
+			c.next, t.buckets[c.hash&mask] = t.buckets[c.hash&mask], c
+			c = next
+		}
+	}
 }
 
 // ObserveEdge processes the stream edge {u,v}, where w is the window's
 // resident sub-graph (both endpoints must be resident in w). It grows
 // existing matches, and re-expands from the edge when nothing grew.
+//
+//loom:hotpath
 func (t *Tracker) ObserveEdge(u, v graph.VertexID, w *graph.Graph) error {
-	if !w.HasVertex(u) || !w.HasVertex(v) {
-		return fmt.Errorf("pattern: edge {%d,%d} endpoint not resident in window", u, v)
-	}
 	if !w.HasEdge(u, v) {
+		if !w.HasVertex(u) || !w.HasVertex(v) {
+			//loom:allocok malformed input only: the caller fed an edge whose endpoint is not resident
+			return fmt.Errorf("pattern: edge {%d,%d} endpoint not resident in window", u, v)
+		}
+		//loom:allocok malformed input only: the caller never added the edge to the window graph
 		return fmt.Errorf("pattern: edge {%d,%d} not present in window graph", u, v)
 	}
 	e := graph.Edge{U: u, V: v}.Normalize()
+	lu, lv := t.labelIDs(w, e.U, e.V)
 
 	grew := false
-	// Collect candidate matches touching either endpoint; iterate over a
-	// snapshot because extension registers new matches.
-	for _, id := range t.matchIDsTouching(u, v) {
-		m, ok := t.matches[id]
-		if !ok {
+	// Candidates are the matches touching either endpoint, as a snapshot:
+	// extension registers new matches and the cap may drop snapshotted ones.
+	for _, s := range t.touching(e.U, e.V) {
+		if s.m.ID != s.id {
 			continue
 		}
-		if t.tryExtend(m, e, w) {
+		if t.tryExtend(s.m, e, lu, lv, w) {
 			grew = true
 		}
 	}
@@ -224,71 +468,79 @@ func (t *Tracker) ObserveEdge(u, v graph.VertexID, w *graph.Graph) error {
 		// Fig. 3 case: the edge joined no tracked match, but a motif match
 		// containing it may exist. Rebuild from the edge outward.
 		t.stats.Reexpansions++
-		t.reexpand(e, w)
+		t.reexpand(e, lu, lv, w)
 	}
 	return nil
 }
 
-// matchIDsTouching returns a sorted snapshot of match IDs containing u or v.
-func (t *Tracker) matchIDsTouching(u, v graph.VertexID) []int64 {
-	set := make(map[int64]struct{})
-	for id := range t.byVertex[u] {
-		set[id] = struct{}{}
+// matchesAt returns the live matches containing v in ascending ID order.
+func (t *Tracker) matchesAt(v graph.VertexID) []*Match {
+	if h, ok := t.vidx.Lookup(int64(v)); ok {
+		return t.byVertex[h]
 	}
-	for id := range t.byVertex[v] {
-		set[id] = struct{}{}
+	return nil
+}
+
+// touching snapshots the matches containing u or v in ascending ID order: a
+// two-way merge of the two per-vertex lists into scratch.
+//
+//loom:hotpath
+func (t *Tracker) touching(u, v graph.VertexID) []snapRef {
+	out := t.snap[:0]
+	if t.live == 0 {
+		return out
 	}
-	out := make([]int64, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+	a, b := t.matchesAt(u), t.matchesAt(v)
+	for len(a) > 0 || len(b) > 0 {
+		var m *Match
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0].ID < b[0].ID):
+			m, a = a[0], a[1:]
+		case len(a) == 0 || b[0].ID < a[0].ID:
+			m, b = b[0], b[1:]
+		default: // the same match contains both endpoints
+			m, a, b = a[0], a[1:], b[1:]
+		}
+		out = append(out, snapRef{m: m, id: m.ID})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	t.snap = out
 	return out
 }
 
-// tryExtend attempts to grow match m by edge e, registering the grown match
-// when the TPSTry++ has a matching child. The original match is retained:
-// it is still a valid (smaller) motif occurrence, and may grow differently
-// later.
-func (t *Tracker) tryExtend(m *Match, e graph.Edge, w *graph.Graph) bool {
+// tryExtend attempts to grow match m by edge e (endpoint labels lu, lv),
+// registering the grown match when the TPSTry++ has a matching child. The
+// original match is retained: it is still a valid (smaller) motif
+// occurrence, and may grow differently later.
+//
+//loom:hotpath
+func (t *Tracker) tryExtend(m *Match, e graph.Edge, lu, lv ident.LabelID, w *graph.Graph) bool {
 	uIn, vIn := m.Contains(e.U), m.Contains(e.V)
 	if !uIn && !vIn {
 		return false
 	}
-	if uIn && vIn {
-		if _, has := m.edges[e]; has {
-			return false
-		}
-	}
-	sig := m.Sig.Clone()
-	fu, fv, fe := t.factorsFor(w, e.U, e.V)
-	if !uIn {
-		sig.MulPrime(fu)
-	}
-	if !vIn {
-		sig.MulPrime(fv)
-	}
-	sig.MulPrime(fe)
-	child, ok := t.trie.ChildFor(m.Node, sig.Key())
-	if !ok || !t.frequent(child) {
+	if uIn && vIn && slices.Contains(m.edges, e) {
 		return false
 	}
-	grown := &Match{
-		Node:     child,
-		Sig:      sig,
-		vertices: make(map[graph.VertexID]struct{}, len(m.vertices)+1),
-		edges:    make(map[graph.Edge]struct{}, len(m.edges)+1),
+	node := t.child(m.Node, lu, lv, !uIn, !vIn)
+	if node == nil {
+		return false
 	}
-	for vv := range m.vertices {
-		grown.vertices[vv] = struct{}{}
+	grown := t.alloc()
+	grown.Node = node
+	grown.verts = append(grown.verts, m.verts...)
+	grown.edges = append(grown.edges, m.edges...)
+	if !uIn {
+		grown.addVertex(e.U)
 	}
-	for ee := range m.edges {
-		grown.edges[ee] = struct{}{}
+	if !vIn {
+		grown.addVertex(e.V)
 	}
-	grown.vertices[e.U] = struct{}{}
-	grown.vertices[e.V] = struct{}{}
-	grown.edges[e] = struct{}{}
-	return t.register(grown, w)
+	grown.addEdge(e)
+	if !t.register(grown, w) {
+		return false
+	}
+	t.stats.MatchesExtended++
+	return true
 }
 
 // reexpand implements the recovery procedure of §4.3: starting from edge e,
@@ -296,141 +548,116 @@ func (t *Tracker) tryExtend(m *Match, e graph.Edge, w *graph.Graph) bool {
 // addition still corresponds to a TPSTry++ node; edges that leave the trie
 // are discarded and not traversed through. The resulting largest
 // motif-matching sub-graph containing e (if any) is registered.
-func (t *Tracker) reexpand(e graph.Edge, w *graph.Graph) {
-	la, _ := w.Label(e.U)
-	lb, _ := w.Label(e.V)
-
-	// Seed with the edge itself: root(label(U)) extended by e. Try both
-	// orientations; labels may differ in which root exists.
-	seed := t.seedFromEdge(e, la, lb)
-	if seed == nil {
+//
+//loom:hotpath
+func (t *Tracker) reexpand(e graph.Edge, lu, lv ident.LabelID, w *graph.Graph) {
+	node := t.seed(lu, lv)
+	if node == nil {
 		return
 	}
+	seed := t.alloc()
+	seed.Node = node
+	seed.verts = append(seed.verts, e.U, e.V)
+	seed.edges = append(seed.edges, e)
 
-	// Greedy growth: scan frontier edges repeatedly until no edge can be
-	// added. Rejected edges are remembered and never re-tried for this
-	// expansion (they "are discarded, and we do not traverse to their
-	// neighbours").
-	rejected := make(map[graph.Edge]struct{})
-	for {
-		extended := false
-		for _, fe := range t.frontierEdges(seed, w, rejected) {
-			sig := seed.Sig.Clone()
-			fa, fb, fab := t.factorsFor(w, fe.U, fe.V)
-			if !seed.Contains(fe.U) {
-				sig.MulPrime(fa)
-			}
-			if !seed.Contains(fe.V) {
-				sig.MulPrime(fb)
-			}
-			sig.MulPrime(fab)
-			child, ok := t.trie.ChildFor(seed.Node, sig.Key())
-			if !ok || !t.frequent(child) {
-				rejected[fe] = struct{}{}
+	// Greedy growth in rounds. A round offers the seed, in sorted order,
+	// every window edge at its vertices that has not been offered before; an
+	// edge that cannot be added is thereby discarded for good ("we do not
+	// traverse to their neighbours"). expand[:offered] are the vertices whose
+	// edges have all been offered, so the next round's frontier is exactly
+	// the edges at the vertices the previous round added.
+	t.expand = append(t.expand[:0], e.U, e.V)
+	for offered := 0; offered < len(t.expand); {
+		frontier := t.frontierEdges(seed, offered, w)
+		offered = len(t.expand)
+		for _, fe := range frontier {
+			uIn, vIn := seed.Contains(fe.U), seed.Contains(fe.V)
+			fu, fv := t.labelIDs(w, fe.U, fe.V)
+			next := t.child(seed.Node, fu, fv, !uIn, !vIn)
+			if next == nil {
 				continue
 			}
-			seed.Sig = sig
-			seed.Node = child
-			seed.vertices[fe.U] = struct{}{}
-			seed.vertices[fe.V] = struct{}{}
-			seed.edges[fe] = struct{}{}
-			extended = true
-		}
-		if !extended {
-			break
+			seed.Node = next
+			if !uIn {
+				seed.addVertex(fe.U)
+				t.expand = append(t.expand, fe.U)
+			}
+			if !vIn {
+				seed.addVertex(fe.V)
+				t.expand = append(t.expand, fe.V)
+			}
+			seed.addEdge(fe)
 		}
 	}
-	t.register(seed, w)
-}
-
-// seedFromEdge builds the two-vertex match for edge e, or nil when the trie
-// has no corresponding motif above threshold.
-func (t *Tracker) seedFromEdge(e graph.Edge, la, lb graph.Label) *Match {
-	for _, first := range []graph.Label{la, lb} {
-		root, ok := t.trie.RootFor(first)
-		if !ok || !t.frequent(root) {
-			continue
-		}
-		sig := root.Sig.Clone()
-		second := lb
-		if first == lb {
-			second = la
-		}
-		sig.MulPrime(t.factory.VertexFactor(second))
-		sig.MulPrime(t.factory.EdgeFactor(la, lb))
-		child, ok := t.trie.ChildFor(root, sig.Key())
-		if !ok || !t.frequent(child) {
-			continue
-		}
-		return &Match{
-			Node:     child,
-			Sig:      sig,
-			vertices: map[graph.VertexID]struct{}{e.U: {}, e.V: {}},
-			edges:    map[graph.Edge]struct{}{e: {}},
-		}
+	if t.register(seed, w) {
+		t.stats.MatchesCreated++
 	}
-	return nil
 }
 
-// frontierEdges returns window edges incident to the match but not inside
-// it and not previously rejected, in deterministic order.
-func (t *Tracker) frontierEdges(m *Match, w *graph.Graph, rejected map[graph.Edge]struct{}) []graph.Edge {
-	var out []graph.Edge
-	seen := make(map[graph.Edge]struct{})
-	//loom:orderinvariant deduplicates frontier edges into a set and sorts the result before returning
-	for v := range m.vertices {
-		for _, u := range w.Neighbors(v) {
-			e := graph.Edge{U: v, V: u}.Normalize()
-			if _, in := m.edges[e]; in {
+// frontierEdges returns, sorted, the window edges at the seed vertices
+// expand[from:] that no earlier round offered. An edge at an earlier vertex
+// (one of expand[:from]) was on that vertex's frontier, so it is either in
+// the seed already or was discarded; an edge between two of the new
+// vertices turns up from both ends and is deduplicated.
+//
+//loom:hotpath
+func (t *Tracker) frontierEdges(seed *Match, from int, w *graph.Graph) []graph.Edge {
+	out := t.frontier[:0]
+	for _, x := range t.expand[from:] {
+		t.nbrs = w.AppendNeighbors(t.nbrs[:0], x)
+		for _, y := range t.nbrs {
+			if slices.Contains(t.expand[:from], y) {
 				continue
 			}
-			if _, rej := rejected[e]; rej {
+			e := graph.Edge{U: x, V: y}.Normalize()
+			if slices.Contains(seed.edges, e) {
 				continue
 			}
-			if _, dup := seen[e]; dup {
-				continue
-			}
-			seen[e] = struct{}{}
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, compareEdges)
+	out = slices.Compact(out)
+	t.frontier = out
 	return out
 }
 
 // register adds m to the tracker if it is new and (in Verify mode) survives
-// exact isomorphism checking. It reports whether the match was stored.
+// exact isomorphism checking, reporting whether it was stored; a refused
+// match goes back to the slab. A stored match may already be gone again when
+// register returns: the per-vertex cap can drop the newcomer itself.
+//
+//loom:hotpath
 func (t *Tracker) register(m *Match, w *graph.Graph) bool {
-	if m == nil {
-		return false
-	}
-	k := m.key()
-	if _, dup := t.byKey[k]; dup {
+	m.hash = hashEdges(m.edges)
+	if t.findDup(m) {
+		t.release(m)
 		return false
 	}
 	if t.opts.Verify && !t.verify(m, w) {
 		t.stats.VerifyRejections++
+		t.release(m)
 		return false
 	}
 	m.ID = t.nextID
 	t.nextID++
-	t.matches[m.ID] = m
-	t.byKey[k] = m.ID
-	//loom:orderinvariant inserts m.ID into one set per distinct vertex; the final index is order-free
-	for v := range m.vertices {
-		set, ok := t.byVertex[v]
-		if !ok {
-			set = make(map[int64]struct{})
-			t.byVertex[v] = set
-		}
-		set[m.ID] = struct{}{}
+	m.p = t.trie.P(m.Node)
+	if t.live >= len(t.buckets) {
+		t.growTable()
 	}
-	t.stats.MatchesCreated++
+	t.live++
+	b := &t.buckets[m.hash&uint64(len(t.buckets)-1)]
+	m.next, *b = *b, m
+	for _, v := range m.verts {
+		h := t.vidx.Intern(int64(v))
+		for int(h) >= len(t.byVertex) {
+			t.byVertex = append(t.byVertex, nil)
+			t.seen = append(t.seen, 0)
+		}
+		list := &t.byVertex[h]
+		*list = append(*list, m)
+		m.slots = append(m.slots, h)
+	}
 	t.enforceCaps(m)
 	return true
 }
@@ -439,16 +666,14 @@ func (t *Tracker) register(m *Match, w *graph.Graph) bool {
 // exact isomorphism.
 func (t *Tracker) verify(m *Match, w *graph.Graph) bool {
 	sub := graph.New()
-	//loom:orderinvariant builds a scratch graph only consulted through order-free isomorphism checking
-	for v := range m.vertices {
+	for _, v := range m.verts {
 		l, ok := w.Label(v)
 		if !ok {
 			return false
 		}
 		sub.AddVertex(v, l)
 	}
-	//loom:orderinvariant edge-set insertion into the same scratch graph; Isomorphic reads sorted views
-	for e := range m.edges {
+	for _, e := range m.edges {
 		if err := sub.AddEdge(e.U, e.V); err != nil {
 			return false
 		}
@@ -457,72 +682,67 @@ func (t *Tracker) verify(m *Match, w *graph.Graph) bool {
 }
 
 // enforceCaps drops the least valuable matches of any vertex of m whose
-// fan-out exceeds the per-vertex cap. Value order: larger motifs first,
-// then higher p-value, then newer. Vertices are visited in sorted order:
-// dropping a match shrinks other vertices' sets too, so the visit order
-// is observable — map order here made whole partitioning runs
-// irreproducible (caught by the serve crash-recovery equivalence tests).
+// fan-out exceeds the per-vertex cap (value order: byValue). Vertices are
+// visited in ascending order: dropping a match shrinks other vertices'
+// lists too, so the visit order is observable. m itself may be among the
+// dropped, hence the copy of its handles; a handle freed along the way
+// (its vertex lost its last match) reads as an empty list, and nothing
+// interns while the loop runs, so it cannot have been reissued.
+//
+//loom:hotpath
 func (t *Tracker) enforceCaps(m *Match) {
-	t.capVerts = t.capVerts[:0]
-	for v := range m.vertices {
-		t.capVerts = append(t.capVerts, v)
-	}
-	slices.Sort(t.capVerts)
-	for _, v := range t.capVerts {
-		set := t.byVertex[v]
-		if len(set) <= t.opts.MaxMatchesPerVertex {
+	t.capSlots = append(t.capSlots[:0], m.slots...)
+	for _, h := range t.capSlots {
+		if len(t.byVertex[h]) <= t.opts.MaxMatchesPerVertex {
 			continue
 		}
-		ids := make([]int64, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			mi, mj := t.matches[ids[i]], t.matches[ids[j]]
-			if mi.Size() != mj.Size() {
-				return mi.Size() > mj.Size()
-			}
-			pi, pj := t.trie.P(mi.Node), t.trie.P(mj.Node)
-			if pi != pj {
-				return pi > pj
-			}
-			return ids[i] > ids[j]
-		})
-		for _, id := range ids[t.opts.MaxMatchesPerVertex:] {
-			t.drop(id)
+		t.capSort = append(t.capSort[:0], t.byVertex[h]...)
+		slices.SortFunc(t.capSort, byValue)
+		for _, x := range t.capSort[t.opts.MaxMatchesPerVertex:] {
+			t.drop(x)
 			t.stats.MatchesDropped++
 		}
 	}
 }
 
-// drop removes match id from all indexes.
-func (t *Tracker) drop(id int64) {
-	m, ok := t.matches[id]
-	if !ok {
-		return
+// drop removes match m from all indexes and recycles it. A vertex whose
+// last match this was leaves the vertex index.
+//
+//loom:hotpath
+func (t *Tracker) drop(m *Match) {
+	b := &t.buckets[m.hash&uint64(len(t.buckets)-1)]
+	for *b != m {
+		b = &(*b).next
 	}
-	delete(t.matches, id)
-	delete(t.byKey, m.key())
-	for v := range m.vertices {
-		delete(t.byVertex[v], id)
-		if len(t.byVertex[v]) == 0 {
-			delete(t.byVertex, v)
+	*b = m.next
+	for i, h := range m.slots {
+		list := t.byVertex[h]
+		j := slices.Index(list, m)
+		t.byVertex[h] = slices.Delete(list, j, j+1)
+		if len(list) == 1 {
+			t.vidx.Remove(int64(m.verts[i]))
 		}
 	}
+	t.live--
+	t.release(m)
 }
 
 // RemoveVertex discards every match containing v (called after v's group is
 // assigned to a partition and leaves the window).
+//
+//loom:hotpath
 func (t *Tracker) RemoveVertex(v graph.VertexID) {
-	ids := make([]int64, 0, len(t.byVertex[v]))
-	//loom:orderinvariant snapshots the id set; drop() deletions commute, leaving identical final indexes
-	for id := range t.byVertex[v] {
-		ids = append(ids, id)
+	if t.live == 0 {
+		return
 	}
-	for _, id := range ids {
-		t.drop(id)
+	h, ok := t.vidx.Lookup(int64(v))
+	if !ok {
+		return
 	}
-	delete(t.byVertex, v)
+	// Dropping v's last match also releases h.
+	for n := len(t.byVertex[h]); n > 0; n = len(t.byVertex[h]) {
+		t.drop(t.byVertex[h][n-1])
+	}
 }
 
 // RemoveEdge discards every match whose edge set contains {u,v} (a stream
@@ -531,30 +751,22 @@ func (t *Tracker) RemoveVertex(v graph.VertexID) {
 // without using the edge survive.
 func (t *Tracker) RemoveEdge(u, v graph.VertexID) {
 	e := graph.Edge{U: u, V: v}.Normalize()
-	ids := make([]int64, 0, len(t.byVertex[e.U]))
-	//loom:orderinvariant snapshots the id set; drop() deletions commute, leaving identical final indexes
-	for id := range t.byVertex[e.U] {
-		if _, has := t.matches[id].edges[e]; has {
-			ids = append(ids, id)
+	t.capSort = t.capSort[:0]
+	for _, m := range t.matchesAt(e.U) {
+		if slices.Contains(m.edges, e) {
+			t.capSort = append(t.capSort, m)
 		}
 	}
-	for _, id := range ids {
-		t.drop(id)
+	for _, m := range t.capSort {
+		t.drop(m)
 	}
 }
 
 // MatchesContaining returns the live matches containing v, largest first.
+// The slice is the caller's; the matches it points to are not (see Match).
 func (t *Tracker) MatchesContaining(v graph.VertexID) []*Match {
-	out := make([]*Match, 0, len(t.byVertex[v]))
-	for id := range t.byVertex[v] {
-		out = append(out, t.matches[id])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() > out[j].Size()
-		}
-		return out[i].ID < out[j].ID
-	})
+	out := slices.Clone(t.matchesAt(v))
+	slices.SortFunc(out, bySizeThenID)
 	return out
 }
 
@@ -562,37 +774,46 @@ func (t *Tracker) MatchesContaining(v graph.VertexID) []*Match {
 // v (including v itself when it participates in any match, or just {v}
 // otherwise): the set LOOM assigns to a single partition at once, so that
 // overlapping motif occurrences are never split (paper §4.4). The returned
-// slice is only valid until the next GroupFor call; callers that retain it
-// must copy.
+// slice is sorted and only valid until the next GroupFor call; callers that
+// retain it must copy.
+//
+//loom:hotpath
 func (t *Tracker) GroupFor(v graph.VertexID) []graph.VertexID {
 	// Fast path: a vertex in no live match is its own group. This is the
 	// overwhelmingly common case on streams whose workload matches rarely
 	// (or never, with an empty trie), and it must not pay for the closure
 	// walk below.
-	if len(t.byVertex[v]) == 0 {
+	h, ok := ident.NoHandle, false
+	if t.live > 0 {
+		h, ok = t.vidx.Lookup(int64(v))
+	}
+	if !ok {
 		t.single[0] = v
 		return t.single[:1]
 	}
-	group := map[graph.VertexID]struct{}{v: {}}
-	queue := []graph.VertexID{v}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		//loom:orderinvariant grows a connected set to its closure; membership, not visit order, is what escapes (sorted below)
-		for id := range t.byVertex[x] {
-			//loom:orderinvariant same closure computation one level down
-			for u := range t.matches[id].vertices {
-				if _, in := group[u]; !in {
-					group[u] = struct{}{}
-					queue = append(queue, u)
+	// Breadth-first over the vertex index, stamping vertices and matches
+	// with this call's generation so each is walked once.
+	t.gen++
+	t.seen[h] = t.gen
+	t.queue = append(t.queue[:0], h)
+	for i := 0; i < len(t.queue); i++ {
+		for _, m := range t.byVertex[t.queue[i]] {
+			if m.mark == t.gen {
+				continue
+			}
+			m.mark = t.gen
+			for _, s := range m.slots {
+				if t.seen[s] != t.gen {
+					t.seen[s] = t.gen
+					t.queue = append(t.queue, s)
 				}
 			}
 		}
 	}
-	out := make([]graph.VertexID, 0, len(group))
-	for u := range group {
-		out = append(out, u)
+	t.group = t.group[:0]
+	for _, s := range t.queue {
+		t.group = append(t.group, graph.VertexID(t.vidx.KeyOf(s)))
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(t.group)
+	return t.group
 }

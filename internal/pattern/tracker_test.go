@@ -158,7 +158,6 @@ func TestFig3Reexpansion(t *testing.T) {
 	if err := tk.ObserveEdge(2, 3, w); err != nil {
 		t.Fatal(err)
 	}
-	before := tk.Stats()
 
 	// Second c arrives, attached to b.
 	w.AddVertex(4, "c")
@@ -187,7 +186,61 @@ func TestFig3Reexpansion(t *testing.T) {
 	if len(grp) != 4 {
 		t.Fatalf("group = %v, want {1,2,3,4}", grp)
 	}
-	_ = before
+}
+
+func TestFig3StreamCountsSeededAndGrownMatches(t *testing.T) {
+	// The Figure 3 stream registers three matches: ab is seeded by
+	// re-expansion from the first edge, abc grows out of ab when b-c arrives,
+	// and abc' grows out of ab when the second c attaches to b. Seeded
+	// matches count in MatchesCreated, grown ones in MatchesExtended, and
+	// together they count every registered match exactly once.
+	tk := NewTracker(fig1Trie(t), Options{Threshold: 0.3})
+	w := graph.New()
+	for v, l := range map[graph.VertexID]graph.Label{1: "a", 2: "b", 3: "c", 4: "c"} {
+		w.AddVertex(v, l)
+	}
+	for _, e := range []graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 2, V: 4}} {
+		mustAddEdge(t, w, e.U, e.V)
+		if err := tk.ObserveEdge(e.U, e.V, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tk.Stats()
+	if st.MatchesCreated != 1 || st.MatchesExtended != 2 || st.Reexpansions != 1 {
+		t.Fatalf("stats = %+v, want 1 created, 2 extended, 1 re-expansion", st)
+	}
+	if got := tk.ActiveMatches(); got != st.MatchesCreated+st.MatchesExtended-st.MatchesDropped {
+		t.Fatalf("active matches = %d, want created+extended-dropped = %d", got, st.MatchesCreated+st.MatchesExtended-st.MatchesDropped)
+	}
+}
+
+func TestSameLabelEdgeWithoutRootProbesOnce(t *testing.T) {
+	// Regression: seeding tried both orientations of an edge even when the
+	// endpoint labels were equal, repeating the identical failed root probe.
+	// The workload has no motif containing e, so e has no root.
+	tr := fig1Trie(t)
+	tr.Factory().LabelID("e") // known to the factory, absent from every motif
+	tk := NewTracker(tr, Options{Threshold: 0.3})
+	w := windowWith(t, map[graph.VertexID]graph.Label{1: "e", 2: "e"}, []graph.Edge{{U: 1, V: 2}})
+	if err := tk.ObserveEdge(1, 2, w); err != nil {
+		t.Fatal(err)
+	}
+	if tk.ActiveMatches() != 0 || len(tk.MatchesContaining(1)) != 0 || len(tk.MatchesContaining(2)) != 0 {
+		t.Fatalf("ee edge left %d matches in the tracker, want none", tk.ActiveMatches())
+	}
+	if tk.rootProbes != 1 {
+		t.Fatalf("same-label edge made %d root probes, want 1", tk.rootProbes)
+	}
+	// Distinct labels without roots still try both orientations.
+	tr.Factory().LabelID("f")
+	tk = NewTracker(tr, Options{Threshold: 0.3})
+	w = windowWith(t, map[graph.VertexID]graph.Label{1: "e", 2: "f"}, []graph.Edge{{U: 1, V: 2}})
+	if err := tk.ObserveEdge(1, 2, w); err != nil {
+		t.Fatal(err)
+	}
+	if tk.rootProbes != 2 {
+		t.Fatalf("distinct-label edge made %d root probes, want 2", tk.rootProbes)
+	}
 }
 
 func TestReexpansionFromColdEdge(t *testing.T) {
