@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"loom/internal/graph"
+	"loom/internal/ident"
 	"loom/internal/partition"
 	"loom/internal/stream"
 )
@@ -38,6 +39,38 @@ func TestTraversalWeightingRuns(t *testing.T) {
 		if a.Get(v) != p0 {
 			t.Fatalf("square split under weighting: %d on %d vs %d", v, a.Get(v), p0)
 		}
+	}
+}
+
+// TestOnlyTraversalWeightingInternsLabels pins that the per-vertex label
+// memory behind edgeWeight is kept only when traversal weighting reads it,
+// and that skipping it leaves the shared label interner's LabelIDs as
+// they were (the window graph interns each label on arrival anyway).
+func TestOnlyTraversalWeightingInternsLabels(t *testing.T) {
+	elems, err := stream.FromGraph(graph.Fig1Graph(), stream.TemporalOrder, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make(map[bool][]string)
+	for _, weighting := range []bool{false, true} {
+		cfg := baseConfig(8, 2)
+		cfg.TraversalWeighting = weighting
+		p, err := New(cfg, fig1Trie(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(stream.NewSliceSource(elems)); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 0, true: 8}[weighting]; p.verts.Len() != want || len(p.labelIDs) != want {
+			t.Fatalf("weighting %v: %d vertices and %d labels remembered, want %d", weighting, p.verts.Len(), len(p.labelIDs), want)
+		}
+		for id := 0; id < p.labelSet.Len(); id++ {
+			labels[weighting] = append(labels[weighting], p.labelSet.Name(ident.LabelID(id)))
+		}
+	}
+	if !slices.Equal(labels[false], labels[true]) {
+		t.Fatalf("LabelIDs differ: %v without weighting, %v with", labels[false], labels[true])
 	}
 }
 

@@ -93,8 +93,9 @@ type Partitioner struct {
 	// traversal-weighted placement can score edges to already-assigned
 	// neighbours: verts interns the stream's VertexIDs and labelIDs (indexed
 	// by the interned handle) holds LabelIDs from the factory's shared label
-	// interner. A real deployment would read labels from the store; the
-	// simulator keeps them in memory (O(n) x 4 bytes).
+	// interner. Both stay empty unless Config.TraversalWeighting is set. A
+	// real deployment would read labels from the store; the simulator keeps
+	// them in memory.
 	verts    *ident.Interner
 	labelIDs []ident.LabelID
 	labelSet *ident.Labels
@@ -245,7 +246,9 @@ func (p *Partitioner) AddVertex(v graph.VertexID, l graph.Label) error {
 	if p.Assignment().Assigned(v) {
 		return fmt.Errorf("core: vertex %d already assigned", v)
 	}
-	p.noteLabel(v, l)
+	if p.cfg.TraversalWeighting {
+		p.noteLabel(v, l)
+	}
 	if ev := p.window.AddVertex(v, l); ev != nil {
 		p.assignEvicted(*ev)
 	}
@@ -295,11 +298,8 @@ func (p *Partitioner) RemoveVertex(v graph.VertexID) error {
 	}
 	// Forget the label so traversal weighting stops scoring edges into the
 	// deleted vertex above baseline; the handle is recycled on re-add.
-	if h, ok := p.verts.Lookup(int64(v)); ok {
-		if int(h) < len(p.labelIDs) {
-			p.labelIDs[h] = ident.NoLabel
-		}
-		p.verts.Remove(int64(v))
+	if h, ok := p.verts.Remove(int64(v)); ok {
+		p.labelIDs[h] = ident.NoLabel
 	}
 	return nil
 }

@@ -1,28 +1,16 @@
 // Package ident is the identity layer of the dense core: it interns
-// external identifiers — sparse int64 vertex IDs and string vertex labels —
-// into small dense integers so that every container above it (adjacency
-// lists, assignments, label tables, factor tables) can be a flat slice
-// indexed by the interned value instead of a hash map keyed by the external
-// one.
+// external identifiers into small dense integers, so every container above
+// it can be a flat slice instead of a map keyed by the external one.
 //
-// Two interners are provided:
-//
-//   - Interner maps int64 keys to dense uint32 Handles with stable reverse
-//     lookup. Small non-negative keys (the common case: generators and
-//     streams emit 0..n-1) are served by a direct-index slice; outliers and
-//     negative keys fall back to a map. Handles freed by Remove are reused,
-//     so a sliding-window container's handle space stays as small as its
-//     peak population.
-//   - Labels maps strings to dense LabelIDs. Labels come from a small finite
-//     alphabet and are never removed.
-//
-// Neither type is safe for concurrent use; callers that share an interner
-// across goroutines must synchronise (signature.Factory does).
+//   - Index is the one int64 key lookup: a paged direct index plus one
+//     overflow hash table, with one writer and a lock-free Get.
+//   - Interner maps int64 keys to dense Handles (handle+1 in an Index),
+//     reusing freed handles, so a sliding window keeps few handles and pages.
+//   - Labels maps strings from a small alphabet to dense LabelIDs.
 package ident
 
-// Handle is a dense per-container vertex index assigned by an Interner.
-// Handles are small and contiguous-ish (freed handles are reused), making
-// them suitable as slice indexes.
+// Handle is a dense per-container vertex index assigned by an Interner,
+// suitable as a slice index.
 type Handle uint32
 
 // NoHandle marks the absence of a handle.
@@ -34,178 +22,74 @@ type LabelID uint32
 // NoLabel marks the absence of a label.
 const NoLabel LabelID = ^LabelID(0)
 
-// denseKeyLimit bounds the key range the direct-index fast path may cover,
-// capping its worst-case memory at denseKeyLimit * 4 bytes.
-const denseKeyLimit = 1 << 22
-
 // Interner assigns dense Handles to int64 keys.
 type Interner struct {
-	// dense is the direct-index fast path: dense[k] is the handle of key k
-	// for small non-negative k, NoHandle when absent.
-	dense []Handle
-	// sparse holds every key the dense slice does not cover. Lazily
-	// allocated; most workloads never need it.
-	sparse map[int64]Handle
-	// keys is the reverse lookup: keys[h] is the key that owns handle h.
-	// Entries of freed handles are stale until the handle is reused.
-	keys []int64
-	// free lists handles released by Remove, reused LIFO by Intern.
-	free []Handle
+	idx  Index    // live key -> handle + 1
+	keys []int64  // keys[h] owns handle h; stale while h is free
+	free []Handle // handles released by Remove, reused LIFO by Intern
 }
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner { return &Interner{} }
+func NewInterner() *Interner { return &Interner{idx: Index{recycle: true}} }
 
 // NewInternerWithCapacity returns an empty interner with room for n keys.
 func NewInternerWithCapacity(n int) *Interner {
-	in := &Interner{keys: make([]int64, 0, n)}
-	if n > 0 {
-		limit := n
-		if limit > denseKeyLimit {
-			limit = denseKeyLimit
-		}
-		in.dense = make([]Handle, limit)
-		for i := range in.dense {
-			in.dense[i] = NoHandle
-		}
-	}
-	return in
+	return &Interner{idx: Index{recycle: true}, keys: make([]int64, 0, n)}
 }
 
 // Len returns the number of live keys.
 func (in *Interner) Len() int { return len(in.keys) - len(in.free) }
 
-// Cap returns an exclusive upper bound on every handle ever issued: all
-// live handles are < Cap(), so a slice of length Cap() can be indexed by
-// any of them.
+// Cap bounds every handle ever issued: a slice of length Cap() fits them.
 func (in *Interner) Cap() int { return len(in.keys) }
 
-// denseEligible reports whether key k should live in the direct-index slice.
-// The slice follows the occupied handle space with slack, so a container
-// whose keys are 0..n-1 is fully direct-indexed while a container holding a
-// sliding window over an unbounded key stream keeps O(window) memory and
-// sends distant keys to the map.
-func (in *Interner) denseEligible(k int64) bool {
-	if k < 0 || k >= denseKeyLimit {
-		return false
-	}
-	if int(k) < len(in.dense) {
-		return true
-	}
-	limit := 8 * (len(in.keys) + 1)
-	if limit < 1024 {
-		limit = 1024
-	}
-	return k < int64(limit)
-}
-
-// growDense extends the direct-index slice to cover key k, migrating any
-// sparse entries the grown slice now covers so that the Lookup fast path
-// stays authoritative for every key below len(dense).
-func (in *Interner) growDense(k int64) {
-	n := len(in.dense) * 2
-	if n < int(k)+1 {
-		n = int(k) + 1
-	}
-	if n < 1024 {
-		n = 1024
-	}
-	if n > denseKeyLimit {
-		n = denseKeyLimit
-	}
-	grown := make([]Handle, n)
-	copy(grown, in.dense)
-	for i := len(in.dense); i < n; i++ {
-		grown[i] = NoHandle
-	}
-	for sk, sh := range in.sparse {
-		if sk >= 0 && sk < int64(n) {
-			grown[sk] = sh
-			delete(in.sparse, sk)
-		}
-	}
-	in.dense = grown
-}
-
 // Lookup returns the handle of k, if interned.
+//
+//loom:hotpath
 func (in *Interner) Lookup(k int64) (Handle, bool) {
-	if k >= 0 && int64(len(in.dense)) > k {
-		h := in.dense[k]
-		return h, h != NoHandle
-	}
-	h, ok := in.sparse[k]
-	return h, ok
+	v := in.idx.Get(k)
+	return Handle(v - 1), v != 0
 }
 
 // Intern returns the handle of k, assigning one (reusing freed handles
 // first) when k is new.
+//
+//loom:hotpath
 func (in *Interner) Intern(k int64) Handle {
-	if h, ok := in.Lookup(k); ok {
-		return h
+	if v := in.idx.Get(k); v != 0 {
+		return Handle(v - 1)
 	}
-	var h Handle
+	h := Handle(len(in.keys))
 	if n := len(in.free); n > 0 {
-		h = in.free[n-1]
-		in.free = in.free[:n-1]
+		h, in.free = in.free[n-1], in.free[:n-1]
 		in.keys[h] = k
 	} else {
-		h = Handle(len(in.keys))
 		in.keys = append(in.keys, k)
 	}
-	if in.denseEligible(k) {
-		if int(k) >= len(in.dense) {
-			in.growDense(k)
-		}
-		in.dense[k] = h
-	} else {
-		if in.sparse == nil {
-			in.sparse = make(map[int64]Handle)
-		}
-		in.sparse[k] = h
-	}
+	in.idx.Set(k, uint32(h)+1)
 	return h
 }
 
-// KeyOf returns the key owning handle h. It is only meaningful for live
-// handles; the entry of a freed handle is stale until reuse.
+// KeyOf returns the key owning live handle h (stale for a freed one).
 func (in *Interner) KeyOf(h Handle) int64 { return in.keys[h] }
 
 // Remove releases k's handle for reuse, reporting the freed handle and
 // whether k was interned.
+//
+//loom:hotpath
 func (in *Interner) Remove(k int64) (Handle, bool) {
-	h, ok := in.Lookup(k)
-	if !ok {
-		return NoHandle, false
+	v := in.idx.Delete(k)
+	if v != 0 {
+		in.free = append(in.free, Handle(v-1))
 	}
-	if k >= 0 && int64(len(in.dense)) > k && in.dense[k] == h {
-		in.dense[k] = NoHandle
-	} else {
-		delete(in.sparse, k)
-	}
-	in.free = append(in.free, h)
-	return h, true
+	return Handle(v - 1), v != 0 // NoHandle, false when absent
 }
 
 // EachLive calls fn for every live (key, handle) pair in ascending handle
-// order. Freed handles are skipped.
+// order. Freed handles, whose keys no longer map to them, are skipped.
 func (in *Interner) EachLive(fn func(k int64, h Handle) bool) {
-	if len(in.free) == 0 {
-		for h, k := range in.keys {
-			if !fn(k, Handle(h)) {
-				return
-			}
-		}
-		return
-	}
-	freed := make(map[Handle]struct{}, len(in.free))
-	for _, h := range in.free {
-		freed[h] = struct{}{}
-	}
 	for h, k := range in.keys {
-		if _, dead := freed[Handle(h)]; dead {
-			continue
-		}
-		if !fn(k, Handle(h)) {
+		if (len(in.free) == 0 || in.idx.Get(k) == uint32(h)+1) && !fn(k, Handle(h)) {
 			return
 		}
 	}

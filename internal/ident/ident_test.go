@@ -112,21 +112,28 @@ func TestInternerWindowChurn(t *testing.T) {
 	}
 }
 
-// TestInternerSparseDenseMigration pins the growDense migration: a key that
-// lands in the sparse map must stay visible after the dense slice grows over
-// its range.
+// TestInternerSparseDenseMigration pins that a key interned far beyond the
+// populated range (into the overflow) stays visible, and removable, after
+// the populated range has grown and its own page has been allocated.
 func TestInternerSparseDenseMigration(t *testing.T) {
 	in := NewInterner()
 	in.Intern(0)
-	// Far outside the initial dense window: goes sparse.
-	far := int64(200_000)
+	// Far outside the populated range.
+	far := int64(20_000_000)
 	hFar := in.Intern(far)
-	// Intern enough small keys that the dense slice grows past far.
+	if in.idx.over.Load() == nil {
+		t.Fatalf("key %d got a page next to a population of one", far)
+	}
+	// Intern enough small keys that the budget admits far's page, then a
+	// neighbour of far that allocates it.
 	for i := int64(1); i <= 50_000; i++ {
 		in.Intern(i)
 	}
+	if in.Intern(far + 1); in.idx.npages != 14 {
+		t.Fatalf("%d pages, want 14: 13 under 0..50000 and far's", in.idx.npages)
+	}
 	if h, ok := in.Lookup(far); !ok || h != hFar {
-		t.Fatalf("Lookup(%d) = %d,%v after dense growth, want %d,true", far, h, ok, hFar)
+		t.Fatalf("Lookup(%d) = %d,%v after page growth, want %d,true", far, h, ok, hFar)
 	}
 	if _, ok := in.Remove(far); !ok {
 		t.Fatalf("Remove(%d) failed after migration", far)

@@ -17,14 +17,14 @@ func TestInternerRecyclingAgainstReference(t *testing.T) {
 	in := NewInterner()
 	model := make(map[int64]Handle)
 
-	// Key mix: mostly small non-negative (dense path), plus negative and
-	// huge keys to force the sparse map path and dense/sparse migration.
+	// Key mix: mostly small non-negative (paged), plus negative keys and
+	// keys just past the page limit, which live in the overflow.
 	randKey := func() int64 {
 		switch rng.Intn(10) {
 		case 0:
 			return -1 - int64(rng.Intn(64))
 		case 1:
-			return denseKeyLimit + int64(rng.Intn(1024))
+			return pageKeyLimit + int64(rng.Intn(1024))
 		default:
 			return int64(rng.Intn(512))
 		}

@@ -231,7 +231,7 @@ func (s *State) swap(out *Outcome, report *RestreamReport) error {
 	}
 	s.pending = s.pending[:0]
 
-	// Fresh table generation, and the drift counters recounted from
+	// A fresh table, and the drift counters recounted from
 	// scratch against it. The swap also starts a fresh drift window: the
 	// recomputed counters are the new baseline, and the pre-swap window
 	// rate no longer describes the serving assignment.

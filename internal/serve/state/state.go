@@ -189,7 +189,7 @@ func New(cfg Config) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &State{cfg: cfg, g: graph.New(), p: p, ccfg: cfg.Core, trie: trie, tab: newTable(0)}
+	s := &State{cfg: cfg, g: graph.New(), p: p, ccfg: cfg.Core, trie: trie, tab: &Table{}}
 	if cfg.DecaySpan > 0 {
 		s.edgeStamp = make(map[graph.Edge]int64)
 	}
@@ -314,10 +314,9 @@ func (s *State) applyElement(el stream.Element) error {
 			}
 			return true
 		})
-		// Tombstone the published placement and evict any sparse entry so
-		// no reader — of this or any older table generation — resolves the
-		// stale shard off a later recycled handle.
-		s.tab.clear(el.V)
+		// Tombstone the published placement so no reader, of this or any
+		// older epoch, resolves the stale shard off a later recycled handle.
+		s.tab.ix.Delete(int64(el.V))
 		if i := slices.Index(s.pending, el.V); i >= 0 {
 			s.unpend(i)
 		}
@@ -369,7 +368,7 @@ func (s *State) sweep() {
 			i++
 			continue
 		}
-		s.tab = s.tab.set(v, p, s.g.NumVertices())
+		s.tab.set(v, p)
 		s.g.EachNeighbor(v, func(u graph.VertexID) bool {
 			s.account(v, u, 1)
 			return true

@@ -20,10 +20,10 @@ import (
 // Residency is tracked by the window subgraph itself (a vertex is resident
 // iff it is in the graph), deferred edges live in a handle-indexed slice,
 // and the arrival queue is a ring buffer. Steady-state churn allocates
-// nothing per vertex (handles and slot capacity are recycled); interning a
-// stream ID far beyond the window's population does fall back to the
-// interner's map path (see ident.Interner), costing one map insert per
-// arrival and one delete per eviction.
+// nothing per vertex: handles and slot capacity are recycled, and the
+// window graph's interner (see ident.Index) keeps only the few pages under
+// the resident IDs, however far the stream's IDs run past the window's
+// population, reusing a released page for the next one.
 type Window struct {
 	capacity int
 	g        *graph.Graph // window-resident subgraph
