@@ -33,10 +33,10 @@
 //	                  lines, plus "rv <id>" / "re <u> <v>" removals);
 //	                  decoded incrementally, applied in order.
 //	                  With Content-Type: application/x-loom-frame the body
-//	                  is length-prefixed binary frames instead, decoded on
-//	                  a parallel worker pool (same ordering and durability
-//	                  guarantees; a malformed frame is a 400 and nothing
-//	                  from it is applied).
+//	                  is length-prefixed binary frames instead, decoded
+//	                  frame by frame ahead of the writer (same ordering and
+//	                  durability guarantees; a malformed frame is a 400 and
+//	                  nothing from it is applied).
 //	GET  /place/{v}   placement of vertex v.
 //	GET  /route?v=1&v=2&v=3   shard decision for a query touching vertices.
 //	GET  /stats       server statistics (drift estimators, persistence).
@@ -370,9 +370,11 @@ func ingestText(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestBinary applies a body of length-prefixed binary frames through
-// the parallel decode front-stage. A malformed frame terminates the
-// request with 400; frames before it were applied in order (there is no
-// rollback), exactly like a mid-stream text decode error.
+// Server.IngestFrames, which decodes each frame on this request's
+// goroutine while the writer applies the ones before it. A malformed
+// frame terminates the request with 400; frames before it were applied
+// in order (there is no rollback), exactly like a mid-stream text decode
+// error.
 func ingestBinary(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	before := srv.Stats()
 	res, err := srv.IngestFrames(r.Body)
@@ -385,13 +387,11 @@ func ingestBinary(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		resp.Error = err.Error()
-		var bad *serve.BadFrameError
-		switch {
-		case errors.As(err, &bad):
-			writeJSON(w, http.StatusBadRequest, resp)
-		default:
-			writeJSON(w, refusalOr(w, err, http.StatusInternalServerError), resp)
+		status := http.StatusBadRequest
+		if !errors.As(err, new(*serve.BadFrameError)) {
+			status = refusalOr(w, err, http.StatusInternalServerError)
 		}
+		writeJSON(w, status, resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -413,23 +413,20 @@ func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 		ingestText(srv, w, r)
 	})
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := srv.Health()
-		status := http.StatusOK
-		if h.State == "stopped" {
-			status = http.StatusServiceUnavailable
+	// Both probes answer with the same Health body; they differ only in
+	// which state fails them with 503.
+	health := func(failing func(serve.Health) bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			h := srv.Health()
+			status := http.StatusOK
+			if failing(h) {
+				status = http.StatusServiceUnavailable
+			}
+			writeJSON(w, status, h)
 		}
-		writeJSON(w, status, h)
-	})
-
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		h := srv.Health()
-		status := http.StatusOK
-		if !h.Ready {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, h)
-	})
+	}
+	mux.HandleFunc("GET /healthz", health(func(h serve.Health) bool { return h.State == "stopped" }))
+	mux.HandleFunc("GET /readyz", health(func(h serve.Health) bool { return !h.Ready }))
 
 	mux.HandleFunc("GET /place/{v}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.PathValue("v"), 10, 64)

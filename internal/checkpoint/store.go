@@ -235,8 +235,8 @@ func (s *Store) Append(kind RecordKind, elems []stream.Element) (int, error) {
 
 // AppendBinary writes one binary-batch record whose body is the given
 // pre-encoded binary frame payload, verbatim — no re-encoding between
-// the decode stage and the log. The caller (the serve decode stage)
-// guarantees the payload decodes cleanly with zero intra-frame
+// the decode and the log. The caller (serve's writer, logging a frame
+// IngestFrames decoded) guarantees the payload decodes cleanly with zero intra-frame
 // duplicates and that every element it carries was accepted; replay
 // rejects anything else as corruption.
 func (s *Store) AppendBinary(payload []byte) (int, error) {

@@ -155,8 +155,8 @@ func encodeRecord(seq uint64, kind RecordKind, elems []stream.Element) ([]byte, 
 
 // encodeRecordBody frames one record around a pre-encoded body using the
 // shared wire framing. This is the path binary ingest batches take: the
-// body is the frame payload the decode stage already validated, appended
-// without re-encoding.
+// body is the frame payload binary ingest already decoded and validated,
+// appended without re-encoding.
 func encodeRecordBody(seq uint64, kind RecordKind, body []byte) []byte {
 	frame := make([]byte, frameHeaderSize+payloadHeaderSize+len(body))
 	payload := frame[frameHeaderSize:]

@@ -428,9 +428,9 @@ func Run(seed int64, opts Options) (*Report, error) {
 			chunk := elems[cursor:end]
 			cursor = end
 			// Roughly half the batches travel the binary wire path: encode
-			// the chunk as one frame and push it through the parallel decode
-			// stage, so the chaos schedule interleaves both ingest front
-			// doors against the same fault registry. A binary batch is
+			// the chunk as one frame and push it through IngestFrames, so
+			// the chaos schedule interleaves both ingest front doors
+			// against the same fault registry. A binary batch is
 			// equivalent to the IngestSync of the same chunk (the control
 			// replays it that way), and its stream-fatal refusals and
 			// unacked durability errors classify identically.

@@ -68,14 +68,14 @@ const (
 	// ServeBarrier fires at the checkpoint barrier, failing the
 	// checkpoint request before it drains or reseeds anything.
 	ServeBarrier Point = "serve/barrier"
-	// WireDecode fires in a binary-ingest decode worker before the frame
-	// is parsed: the frame is treated as malformed (poisoned) and the
-	// stream is refused with a typed error; nothing from the frame
-	// reaches the writer or the WAL.
+	// WireDecode fires in binary ingest before a frame is parsed: the
+	// frame is treated as malformed (poisoned) and the stream is refused
+	// with a typed error; nothing from the frame reaches the writer or
+	// the WAL.
 	WireDecode Point = "wire/decode"
-	// ServeDecodeStall fires as a decode worker picks a frame up;
-	// intended for latency-only injections that simulate a stalled
-	// worker — the pipeline must stay ordered and correct, just slower.
+	// ServeDecodeStall fires as binary ingest starts decoding a frame;
+	// intended for latency-only injections that simulate a slow decode —
+	// the stream must stay ordered and correct, just slower.
 	ServeDecodeStall Point = "serve/decode-stall"
 )
 

@@ -85,8 +85,10 @@ func BenchmarkIngestText(b *testing.B) {
 }
 
 // BenchmarkIngestFrames is the binary front door: pre-encoded 512-element
-// frames through the parallel decode stage and the raw WAL fast path, on
-// the same server shape as BenchmarkIngestText.
+// frames decoded on the calling goroutine into IngestFrames' ring, ahead
+// of the writer, and logged through the raw WAL fast path, on the same
+// server shape as BenchmarkIngestText. Run it at -cpu 1,2 to see the
+// overlap of decode and apply on one and on two processors.
 func BenchmarkIngestFrames(b *testing.B) {
 	elems := benchElems(b)
 	frames := encodeFrames(b, elems, 512)

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,65 +157,135 @@ func TestBinaryCrashRecoveryMatchesControl(t *testing.T) {
 	assertSameServing(t, g, restarted, control)
 }
 
-// TestPoisonedFrameNeverReachesWriter corrupts the middle frame of a
-// three-frame stream: IngestFrames must stop with a typed *BadFrameError,
-// the first frame's elements are applied and logged, and nothing from the
-// poisoned frame or the one after it reaches the writer or the WAL.
+// TestPoisonedFrameNeverReachesWriter corrupts one frame of a stream:
+// IngestFrames must stop with a typed *BadFrameError naming it, the
+// frames before it are applied and logged, and nothing from the poisoned
+// frame or any after it reaches the writer or the WAL. The second input
+// poisons a frame past the in-flight ring's depth, so earlier frames
+// have been settled and their slots reused before the bad one is read.
 func TestPoisonedFrameNeverReachesWriter(t *testing.T) {
-	g, w, alphabet := testGraph(t, 120, 2, 3)
+	for _, tc := range []struct{ frames, poison int }{{3, 1}, {100, 70}} {
+		t.Run(fmt.Sprintf("%d_of_%d", tc.poison, tc.frames), func(t *testing.T) {
+			g, w, alphabet := testGraph(t, 120, 2, 3)
+			elems := elementsOf(t, g)
+			cfg := persistConfig(w, alphabet, g.NumVertices(), 2)
+			s, err := Open(cfg, PersistOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+
+			per := len(elems) / tc.frames
+			var buf bytes.Buffer
+			fw := stream.NewFrameWriter(&buf)
+			poisonAt := 0
+			for f := 0; f < tc.frames; f++ {
+				end := (f + 1) * per
+				if f == tc.frames-1 {
+					end = len(elems)
+				}
+				if f == tc.poison {
+					poisonAt = buf.Len()
+				}
+				if err := fw.WriteBatch(elems[f*per : end]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := buf.Bytes()
+			data[poisonAt+wire.HeaderSize] ^= 0xff // corrupt the frame's payload
+
+			res, err := s.IngestFrames(bytes.NewReader(data))
+			var bad *BadFrameError
+			if !errors.As(err, &bad) {
+				t.Fatalf("err = %v, want *BadFrameError", err)
+			}
+			if bad.Frame != tc.poison {
+				t.Fatalf("poisoned frame index %d, want %d", bad.Frame, tc.poison)
+			}
+			if !errors.Is(err, stream.ErrFrameCRC) {
+				t.Fatalf("err = %v, want ErrFrameCRC in chain", err)
+			}
+			good := tc.poison * per
+			if res.Frames != tc.poison || res.Elements != good {
+				t.Fatalf("res = %+v, want exactly the %d frames before the poisoned one", res, tc.poison)
+			}
+
+			st := s.Stats()
+			if st.Ingested != int64(good) || st.Rejected != 0 {
+				t.Fatalf("ingested %d rejected %d, want %d and 0", st.Ingested, st.Rejected, good)
+			}
+			if st.Persist.WALRecords != int64(tc.poison) {
+				t.Fatalf("WAL holds %d records, want %d (only the good frames)", st.Persist.WALRecords, tc.poison)
+			}
+			verify(t, s)
+		})
+	}
+}
+
+// TestConcurrentFrameStreams runs two IngestFrames streams at once, on
+// disjoint vertex ranges: each stream owns its ring and decoder for its
+// whole life, so both are applied in full whatever the interleaving at
+// the mailbox. Run under -race, this also checks that no ring or decoder
+// is shared between live streams.
+func TestConcurrentFrameStreams(t *testing.T) {
+	g, w, alphabet := testGraph(t, 400, 2, 5)
 	elems := elementsOf(t, g)
-	cfg := persistConfig(w, alphabet, g.NumVertices(), 2)
-	dir := t.TempDir()
-	s, err := Open(cfg, PersistOptions{Dir: dir})
+	// The second stream is the first shifted past every id the first
+	// one uses, so the two never touch the same vertex or edge.
+	shift := graph.VertexID(g.NumVertices() + 1)
+	for _, e := range elems {
+		if e.V >= shift || e.U >= shift {
+			t.Fatalf("vertex ids reach %d, past the shift %d", max(e.V, e.U), shift)
+		}
+	}
+	shifted := make([]stream.Element, len(elems))
+	for i, e := range elems {
+		e.V += shift
+		if e.Kind == stream.EdgeElement {
+			e.U += shift
+		}
+		shifted[i] = e
+	}
+	s, err := New(persistConfig(w, alphabet, 2*g.NumVertices(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 
-	third := len(elems) / 3
-	var buf bytes.Buffer
-	fw := stream.NewFrameWriter(&buf)
-	if err := fw.WriteBatch(elems[:third]); err != nil {
-		t.Fatal(err)
+	// 16-element frames: each stream is several times the ring's depth.
+	streams := [][]byte{encodeFrames(t, elems, 16), encodeFrames(t, shifted, 16)}
+	results := make([]FrameIngest, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i, data := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = s.IngestFrames(bytes.NewReader(data))
+		}()
 	}
-	poisonAt := buf.Len()
-	if err := fw.WriteBatch(elems[third : 2*third]); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for i := range streams {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		if err := results[i].Err(); err != nil {
+			t.Fatalf("stream %d: element errors: %v", i, err)
+		}
+		if results[i].Elements != len(elems) {
+			t.Fatalf("stream %d: %d elements, want %d", i, results[i].Elements, len(elems))
+		}
 	}
-	if err := fw.WriteBatch(elems[2*third:]); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Ingested != int64(2*len(elems)) || st.Rejected != 0 {
+		t.Fatalf("ingested %d rejected %d, want %d and 0", st.Ingested, st.Rejected, 2*len(elems))
 	}
-	data := buf.Bytes()
-	data[poisonAt+wire.HeaderSize] ^= 0xff // corrupt the 2nd frame's payload
-
-	res, err := s.IngestFrames(bytes.NewReader(data))
-	var bad *BadFrameError
-	if !errors.As(err, &bad) {
-		t.Fatalf("err = %v, want *BadFrameError", err)
-	}
-	if bad.Frame != 1 {
-		t.Fatalf("poisoned frame index %d, want 1", bad.Frame)
-	}
-	if !errors.Is(err, stream.ErrFrameCRC) {
-		t.Fatalf("err = %v, want ErrFrameCRC in chain", err)
-	}
-	if res.Frames != 1 || res.Elements != third {
-		t.Fatalf("res = %+v, want exactly the first frame accepted", res)
-	}
-
-	st := s.Stats()
-	if st.Ingested != int64(third) || st.Rejected != 0 {
-		t.Fatalf("ingested %d rejected %d, want %d and 0", st.Ingested, st.Rejected, third)
-	}
-	if st.Persist.WALRecords != 1 {
-		t.Fatalf("WAL holds %d records, want 1 (only the good frame)", st.Persist.WALRecords)
-	}
+	verify(t, s)
 }
 
 // TestDecodeFailpoints drills the two decode-stage fault points: an
 // erroring WireDecode injection poisons the frame (typed refusal, WAL
-// and writer untouched), and a stalled worker (ServeDecodeStall with
-// latency only) delays but does not corrupt the pipeline.
+// and writer untouched), and a stalled decode (ServeDecodeStall with
+// latency only) delays but does not corrupt the stream.
 func TestDecodeFailpoints(t *testing.T) {
 	g, w, alphabet := testGraph(t, 120, 2, 3)
 	elems := elementsOf(t, g)

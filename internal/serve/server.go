@@ -19,7 +19,7 @@
 //     bookkeeping as a single-threaded state machine (see its package
 //     doc). Touched only by the ingest loop goroutine.
 //   - Shell: Server — mailbox and replies, WAL and snapshot files and the
-//     wedge, heal timer, admission, decode pool, restream goroutine. It
+//     wedge, heal timer, admission, frame ring, restream goroutine. It
 //     drives the core and publishes what the core returns behind an
 //     atomic.Pointer that readers load and answer from.
 //   - Background: an in-flight restream works on a fully detached
@@ -118,10 +118,6 @@ type Config struct {
 	// Reanchor makes a wedged server retry the re-anchoring snapshot
 	// itself instead of waiting for an operator Checkpoint.
 	Reanchor ReanchorPolicy
-	// DecodeWorkers sizes the parallel binary-frame decode stage in
-	// front of the writer loop (IngestFrames). Zero defaults to
-	// GOMAXPROCS; the workers start lazily on first binary ingest.
-	DecodeWorkers int
 	// SnapshotEveryBatches bounds the WAL tail on long runs: after this
 	// many accepted data batches the writer performs the same drain +
 	// barrier + engine-reseed cycle an explicit Checkpoint does and writes
@@ -164,12 +160,12 @@ type envelope struct {
 	// for the restream report and the migration-budget exemption.
 	trigger string
 	// raw is the binary frame payload elems were decoded from, when the
-	// batch arrived through the binary decode stage: if the writer
-	// accepts every element it is appended to the WAL verbatim instead
-	// of re-encoding. rawExact means decode dropped nothing (no
-	// intra-frame duplicates), i.e. raw describes exactly elems. The
-	// buffers stay owned by the sender's frame job; the writer may read
-	// them only until it releases the reply.
+	// batch arrived through IngestFrames: if the writer accepts every
+	// element it is appended to the WAL verbatim instead of re-encoding.
+	// rawExact means decode dropped nothing (no intra-frame duplicates),
+	// i.e. raw describes exactly elems. The buffers stay owned by the
+	// sender's frame ring; the writer may read them only until it
+	// releases the reply.
 	raw      []byte
 	rawExact bool
 }
@@ -226,17 +222,6 @@ type Server struct {
 	// consumer (writer goroutine, at restream launch) are different
 	// goroutines.
 	workloadSrc atomic.Pointer[func() *query.Workload]
-
-	// decode is the parallel binary-frame decode stage (ingest.go):
-	// workers start lazily on the first IngestFrames call and exit with
-	// quit. jobs carries frames to whichever worker is free; the
-	// sequencer re-establishes frame order before the mailbox.
-	decode struct {
-		start    sync.Once
-		jobs     chan *frameJob
-		pool     sync.Pool
-		inflight int
-	}
 
 	// heal is the self-healing re-anchor state (policy: cfg.Reanchor,
 	// defaults applied). The atomics are readable from any goroutine
@@ -320,9 +305,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Admission.Rate < 0 {
 		return nil, fmt.Errorf("serve: admission rate %v < 0", cfg.Admission.Rate)
-	}
-	if cfg.DecodeWorkers < 0 {
-		return nil, fmt.Errorf("serve: decode workers %d < 0", cfg.DecodeWorkers)
 	}
 	if cfg.SnapshotEveryBatches < 0 {
 		return nil, fmt.Errorf("serve: snapshot every %d batches < 0", cfg.SnapshotEveryBatches)

@@ -8,7 +8,7 @@
 // goroutine, owns no channel, reads no clock and touches no file, which
 // loom-lint enforces (the package is listed in lint.DeterministicPackages).
 // serve.Server is the I/O shell around it — mailbox and replies, WAL and
-// snapshot files, healing, admission, the decode pool and the restream
+// snapshot files, healing, admission, the frame ring and the restream
 // goroutine — and the only caller; all calls come from its writer
 // goroutine. Only what Publish, View and Job.Run return may cross to
 // other goroutines.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"loom/internal/graph"
 	"loom/internal/wire"
@@ -85,7 +86,7 @@ var (
 	ErrFrameDuplicate = errors.New("stream: frame carries intra-frame duplicates")
 )
 
-// Batch is one binary frame in flight through the decode stage. Payload
+// Batch is one binary frame in flight from the wire to the writer. Payload
 // holds the raw frame payload exactly as received (the shape the WAL can
 // append as a record body without re-encoding); Elems is the decoded,
 // validated, intra-frame-deduplicated element list. Buffers are reused
@@ -450,12 +451,15 @@ func DecodeFramePayload(payload []byte) ([]Element, error) {
 }
 
 // FrameReader reads length-prefixed binary frames off r. Next fills a
-// Batch's Payload/CRC without decoding, so decode work can move to
-// another goroutine.
+// Batch's Payload/CRC without decoding; FrameDecoder.Decode does the rest.
 type FrameReader struct {
 	br     *bufio.Reader
 	frames int
 }
+
+// readStep is how many payload bytes FrameReader.Next reads at a time
+// while the payload buffer still has to grow.
+const readStep = 64 << 10
 
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader {
@@ -483,13 +487,17 @@ func (fr *FrameReader) Next(b *Batch) error {
 	if n > wire.MaxPayload {
 		return fmt.Errorf("stream: frame %d payload %d bytes exceeds cap %d", fr.frames, n, wire.MaxPayload)
 	}
-	if cap(b.Payload) < n {
-		b.Payload = make([]byte, n)
-	} else {
-		b.Payload = b.Payload[:n]
-	}
-	if _, err := io.ReadFull(fr.br, b.Payload); err != nil {
-		return fmt.Errorf("stream: frame %d payload cut short: %w", fr.frames, ErrFrameTruncated)
+	// The buffer grows as payload bytes arrive, never on the header's
+	// word alone: a short body claiming a huge frame costs an allocation
+	// in proportion to what it sent (at least one readStep), not to what
+	// it claims.
+	b.Payload = b.Payload[:0]
+	for m := 0; m < n; m = len(b.Payload) {
+		step := min(n-m, max(cap(b.Payload)-m, readStep))
+		b.Payload = slices.Grow(b.Payload, step)[:m+step]
+		if _, err := io.ReadFull(fr.br, b.Payload[m:]); err != nil {
+			return fmt.Errorf("stream: frame %d payload cut short: %w", fr.frames, ErrFrameTruncated)
+		}
 	}
 	b.CRC = crc
 	b.Elems = b.Elems[:0]

@@ -2,7 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"loom/internal/graph"
@@ -215,6 +218,23 @@ func TestFrameReaderTruncation(t *testing.T) {
 	}
 	if err := fr.Next(&b); err != io.EOF {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
+	}
+
+	// An 18-byte body whose header claims a 1 GiB payload is cut short
+	// after 10 bytes: the reader must refuse it without allocating what
+	// the header claims.
+	huge := binary.LittleEndian.AppendUint32(nil, wire.MaxPayload)
+	huge = binary.LittleEndian.AppendUint32(huge, 0)
+	huge = append(huge, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewFrameReader(bytes.NewReader(huge)).Next(&Batch{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrameTruncated) {
+		t.Fatalf("1 GiB claim over 10 bytes: got %v, want ErrFrameTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("1 GiB claim over 10 bytes allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 
