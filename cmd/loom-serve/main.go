@@ -30,13 +30,14 @@
 // API:
 //
 //	POST /ingest      body: graph text codec ("v <id> <label>" / "e <u> <v>"
-//	                  lines, plus "rv <id>" / "re <u> <v>" removals);
-//	                  decoded incrementally, applied in order.
-//	                  With Content-Type: application/x-loom-frame the body
-//	                  is length-prefixed binary frames instead, decoded
-//	                  frame by frame ahead of the writer (same ordering and
-//	                  durability guarantees; a malformed frame is a 400 and
-//	                  nothing from it is applied).
+//	                  lines, plus "rv <id>" / "re <u> <v>" removals), or,
+//	                  with Content-Type: application/x-loom-frame,
+//	                  length-prefixed binary frames. Either is read in
+//	                  batches (512 text records, or one frame) ahead of
+//	                  the writer and applied in order. A malformed line or
+//	                  frame is a 400: the records before a bad line are
+//	                  applied, nothing from a bad frame is. The reply's
+//	                  accepted/rejected counts are this request's own.
 //	GET  /place/{v}   placement of vertex v.
 //	GET  /route?v=1&v=2&v=3   shard decision for a query touching vertices.
 //	GET  /stats       server statistics (drift estimators, persistence).
@@ -75,11 +76,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -283,118 +284,21 @@ func buildEngine(srv *serve.Server, o serverOptions) *qserve.Engine {
 	})
 }
 
-// ingestBatch bounds how many decoded elements are applied per IngestSync
-// round, so decode and partitioning pipeline against each other.
-const ingestBatch = 512
-
 type ingestResponse struct {
+	// Accepted and Rejected are exactly what this request added to the
+	// server's ingested and rejected counts, whatever ran beside it.
 	Accepted int      `json:"accepted"`
 	Rejected int      `json:"rejected"`
 	Errors   []string `json:"errors,omitempty"`
-	// Frames and Deduped are reported for binary-framed ingest only:
-	// frames applied, and intra-frame duplicates dropped by the decode
-	// stage before the writer saw them.
+	// Frames counts the batches handed to the writer: binary frames, or
+	// text batches of up to 512 records. Deduped counts intra-frame
+	// duplicates the binary decode dropped before the writer saw them.
 	Frames  int `json:"frames,omitempty"`
 	Deduped int `json:"deduped,omitempty"`
-	// Error is the decode error that terminated the body mid-stream, if
-	// any; Accepted/Rejected still report the batches applied before it
+	// Error is the failure that terminated the body mid-stream, if any;
+	// Accepted/Rejected still report the batches applied before it
 	// (there is no rollback).
 	Error string `json:"error,omitempty"`
-}
-
-// contentTypeIs reports whether header names the media type want,
-// ignoring parameters (charset etc.) and surrounding whitespace.
-func contentTypeIs(header, want string) bool {
-	if i := strings.IndexByte(header, ';'); i >= 0 {
-		header = header[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(header), want)
-}
-
-// ingestText applies a body in the line-oriented text codec through
-// IngestSync, batching decode against partitioning.
-func ingestText(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
-	src := stream.FromReader(r.Body)
-	before := srv.Stats()
-	resp := ingestResponse{}
-	batch := make([]stream.Element, 0, ingestBatch)
-	// A typed refusal (wedged persistence, admission overload, stopped)
-	// terminates the request: retrying the rest of the body would only
-	// widen the hole the client has to re-send.
-	var refused error
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		err := srv.IngestSync(batch)
-		batch = batch[:0]
-		switch {
-		case err == nil:
-		case errors.Is(err, serve.ErrWedged), errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrStopped):
-			refused = err
-			return false
-		default: // element rejections: recorded, not fatal
-			if len(resp.Errors) < 16 {
-				resp.Errors = append(resp.Errors, err.Error())
-			}
-		}
-		return true
-	}
-	for refused == nil {
-		el, ok := src.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, el)
-		if len(batch) == ingestBatch {
-			flush()
-		}
-	}
-	flush()
-	// Counted from the server's own ledger (approximate only under
-	// concurrent ingest requests).
-	after := srv.Stats()
-	resp.Accepted = int(after.Ingested - before.Ingested)
-	resp.Rejected = int(after.Rejected - before.Rejected)
-	if refused != nil {
-		resp.Error = refused.Error()
-		writeJSON(w, refusalOr(w, refused, http.StatusInternalServerError), resp)
-		return
-	}
-	if err := src.Err(); err != nil {
-		resp.Error = err.Error()
-		writeJSON(w, http.StatusBadRequest, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// ingestBinary applies a body of length-prefixed binary frames through
-// Server.IngestFrames, which decodes each frame on this request's
-// goroutine while the writer applies the ones before it. A malformed
-// frame terminates the request with 400; frames before it were applied
-// in order (there is no rollback), exactly like a mid-stream text decode
-// error.
-func ingestBinary(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
-	before := srv.Stats()
-	res, err := srv.IngestFrames(r.Body)
-	resp := ingestResponse{Frames: res.Frames, Deduped: res.Deduped}
-	after := srv.Stats()
-	resp.Accepted = int(after.Ingested - before.Ingested)
-	resp.Rejected = int(after.Rejected - before.Rejected)
-	if elemErr := res.Err(); elemErr != nil && len(resp.Errors) < 16 {
-		resp.Errors = append(resp.Errors, elemErr.Error())
-	}
-	if err != nil {
-		resp.Error = err.Error()
-		status := http.StatusBadRequest
-		if !errors.As(err, new(*serve.BadFrameError)) {
-			status = refusalOr(w, err, http.StatusInternalServerError)
-		}
-		writeJSON(w, status, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // maxQueryBody bounds a /query request body; pattern specs are tiny, so
@@ -405,12 +309,30 @@ const maxQueryBody = 1 << 20
 func newMux(srv *serve.Server, qe *qserve.Engine) *http.ServeMux {
 	mux := http.NewServeMux()
 
+	// Either codec goes through the server's ingest ring, which reads each
+	// batch on this request's goroutine while the writer applies the ones
+	// before it. A malformed frame or line ends the request with 400; the
+	// batches before it were applied in order (there is no rollback).
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		if ct := r.Header.Get("Content-Type"); contentTypeIs(ct, stream.BinaryContentType) {
-			ingestBinary(srv, w, r)
-			return
+		feed := srv.IngestText
+		// The media type alone picks the codec; parameters are ignored.
+		if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == stream.BinaryContentType {
+			feed = srv.IngestFrames
 		}
-		ingestText(srv, w, r)
+		res, err := feed(r.Body)
+		resp := ingestResponse{Accepted: res.Accepted, Rejected: res.Rejected, Frames: res.Frames, Deduped: res.Deduped}
+		if elemErr := res.Err(); elemErr != nil {
+			resp.Errors = []string{elemErr.Error()}
+		}
+		status := http.StatusOK
+		if err != nil {
+			resp.Error = err.Error()
+			status = http.StatusBadRequest
+			if !errors.As(err, new(*serve.BadFrameError)) {
+				status = refusalOr(w, err, http.StatusInternalServerError)
+			}
+		}
+		writeJSON(w, status, resp)
 	})
 
 	// Both probes answer with the same Health body; they differ only in

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"loom/internal/checkpoint"
@@ -30,22 +29,14 @@ func benchConfig(n int) Config {
 	}
 }
 
-// BenchmarkIngestText is the text front door: pre-rendered line codec,
-// decoded inline and applied through IngestSync in 512-element batches,
-// against a durable server at fsync none — the loom-serve HTTP handler's
-// exact shape.
+// BenchmarkIngestText is the text front door: the pre-rendered line
+// codec read in 512-record batches on the calling goroutine into
+// IngestText's ring, ahead of the writer, against a durable server at
+// fsync none — what loom-serve's /ingest handler runs for a text body.
 func BenchmarkIngestText(b *testing.B) {
 	elems := benchElems(b)
-	var text bytes.Buffer
-	for i := range elems {
-		el := &elems[i]
-		if el.Kind == stream.VertexElement {
-			fmt.Fprintf(&text, "v %d %s\n", el.V, el.Label)
-		} else {
-			fmt.Fprintf(&text, "e %d %d\n", el.V, el.U)
-		}
-	}
-	b.SetBytes(int64(text.Len()))
+	text := textOf(elems)
+	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -54,27 +45,11 @@ func BenchmarkIngestText(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		src := stream.FromReader(bytes.NewReader(text.Bytes()))
-		batch := make([]stream.Element, 0, 512)
-		for {
-			el, ok := src.Next()
-			if !ok {
-				break
-			}
-			batch = append(batch, el)
-			if len(batch) == 512 {
-				if err := s.IngestSync(batch); err != nil {
-					b.Fatal(err)
-				}
-				batch = batch[:0]
-			}
+		res, err := s.IngestText(bytes.NewReader(text))
+		if err == nil {
+			err = res.Err()
 		}
-		if len(batch) > 0 {
-			if err := s.IngestSync(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := src.Err(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -87,7 +62,7 @@ func BenchmarkIngestText(b *testing.B) {
 // BenchmarkIngestFrames is the binary front door: pre-encoded 512-element
 // frames decoded on the calling goroutine into IngestFrames' ring, ahead
 // of the writer, and logged through the raw WAL fast path, on the same
-// server shape as BenchmarkIngestText. Run it at -cpu 1,2 to see the
+// server shape as BenchmarkIngestText. Run both at -cpu 1,2 to see the
 // overlap of decode and apply on one and on two processors.
 func BenchmarkIngestFrames(b *testing.B) {
 	elems := benchElems(b)

@@ -77,14 +77,14 @@ type PersistStats struct {
 // A server killed without ceremony (crash, Abort) and reopened this way
 // answers Where/Route/Stats exactly like one that never went down,
 // modulo batches that were never acknowledged durable under
-// checkpoint.SyncNone. Two cosmetic exceptions: Stats.Epoch counts
-// snapshot publications, and replay publishes once per WAL record while
-// a loaded live server may coalesce several queued batches into one
-// publication — under concurrent ingest the epoch can therefore differ
-// from an uninterrupted control; and Stats.Rejected only survives up to
-// the last snapshot (the WAL records accepted elements, so rejections
-// after it are not replayable). Every placement and every other counter
-// matches exactly.
+// checkpoint.SyncNone. Stats.Epoch matches too: the live writer
+// publishes once per envelope and once per checkpoint, as replay
+// publishes once per WAL record.
+// One cosmetic exception: Stats.Rejected only survives up to the last
+// snapshot (the WAL records accepted elements, so rejections after it are
+// not replayable), and so do the epochs of envelopes that left no WAL
+// record (a batch rejected whole, a Flush). Every placement and every
+// other counter matches exactly.
 //
 // Deterministic recovery has the same preconditions as background
 // restreams: set Config.Alphabet so motif signatures agree across engine

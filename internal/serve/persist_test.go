@@ -438,7 +438,8 @@ func TestConcurrentCheckpointsAllReturn(t *testing.T) {
 
 // TestCheckpointUnderConcurrentIngest: a checkpoint racing a writer full
 // of queued batches must not fail with window-resident vertices (the
-// burst is cut at the barrier) and the recovered state must stay whole.
+// barrier drains the window between two batches) and the recovered state
+// must stay whole.
 func TestCheckpointUnderConcurrentIngest(t *testing.T) {
 	g, w, alphabet := testGraph(t, 600, 4, 17)
 	elems := elementsOf(t, g)

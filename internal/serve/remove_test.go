@@ -337,8 +337,7 @@ func TestSnapshotEveryBatchesBoundsWALTail(t *testing.T) {
 		batches++
 	}
 
-	// The trigger runs on the writer goroutine after the batch burst, so
-	// give the last periodic snapshot a moment to land.
+	// Wait for the last periodic snapshot to show in Stats.
 	deadline := time.Now().Add(5 * time.Second)
 	var ps PersistStats
 	for {

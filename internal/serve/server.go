@@ -19,7 +19,7 @@
 //     bookkeeping as a single-threaded state machine (see its package
 //     doc). Touched only by the ingest loop goroutine.
 //   - Shell: Server — mailbox and replies, WAL and snapshot files and the
-//     wedge, heal timer, admission, frame ring, restream goroutine. It
+//     wedge, heal timer, admission, ingest ring, restream goroutine. It
 //     drives the core and publishes what the core returns behind an
 //     atomic.Pointer that readers load and answer from.
 //   - Background: an in-flight restream works on a fully detached
@@ -56,9 +56,6 @@ const (
 	// DefaultMinAssigned gates drift triggers until the estimate has a
 	// meaningful sample.
 	DefaultMinAssigned = 512
-	// drainBurst bounds how many queued batches one loop cycle absorbs
-	// before republishing the snapshot.
-	drainBurst = 32
 	// maxReportedErrors caps the per-stream batch errors FrameIngest
 	// keeps; the rest are only counted.
 	maxReportedErrors = 8
@@ -160,19 +157,22 @@ type envelope struct {
 	// for the restream report and the migration-budget exemption.
 	trigger string
 	// raw is the binary frame payload elems were decoded from, when the
-	// batch arrived through IngestFrames: if the writer accepts every
-	// element it is appended to the WAL verbatim instead of re-encoding.
-	// rawExact means decode dropped nothing (no intra-frame duplicates),
-	// i.e. raw describes exactly elems. The buffers stay owned by the
-	// sender's frame ring; the writer may read them only until it
+	// batch arrived through IngestFrames and decode dropped nothing from
+	// it (no intra-frame duplicates), i.e. raw describes exactly elems:
+	// if the writer accepts every element it is appended to the WAL
+	// verbatim instead of re-encoding. The buffers stay owned by the
+	// sender's ingest ring; the writer may read them only until it
 	// releases the reply.
-	raw      []byte
-	rawExact bool
+	raw []byte
+	// tally, when non-nil, receives the writer's account of a data batch
+	// before the reply is released (the ring slot's).
+	tally *tally
 }
 
 // Server is an online partition server. Ingest/IngestSync feed the graph
-// stream; Where/Route/Stats answer from lock-free snapshots on any number
-// of goroutines; Stop shuts the pipeline down gracefully.
+// stream element batches, IngestFrames/IngestText whole encoded bodies;
+// Where/Route/Stats answer from lock-free snapshots on any number of
+// goroutines; Stop shuts the pipeline down gracefully.
 type Server struct {
 	cfg Config
 	k   int
@@ -248,8 +248,9 @@ type Server struct {
 	// frame payload cannot be logged verbatim.
 	walEnc     stream.FrameEncoder
 	walScratch []byte
-	// dirty is set by every mutation of the core and cleared by publish:
-	// a cycle that ends clean opens no new epoch.
+	// dirty is set by every mutation of the core and cleared by publish,
+	// so an envelope whose checkpoint already published opens no second
+	// epoch.
 	dirty bool
 	// The background restream: its outcome channel, its launch time and
 	// the Restream caller to release at adoption.
@@ -602,50 +603,32 @@ func (s *Server) loop() {
 	}
 }
 
-// handle processes env plus an opportunistic burst of already-queued
-// batches, publishes one snapshot, releases the replies and answers the
-// drift monitor. Reads of the core (ctrlRun) run after the publish,
-// against a settled core, and a cycle of nothing but reads opens no
-// epoch.
+// handle processes one envelope. A read of the core (ctrlRun) runs
+// against the last publication and opens no epoch. Anything else is
+// applied and published before its reply is released, then the drift
+// monitor is answered: one publication per envelope and one per
+// checkpoint, as WAL replay makes one per record, so Stats.Epoch and the
+// periodic checkpoint's place in the stream depend on the envelopes
+// alone, never on how they queued.
 func (s *Server) handle(env envelope) {
-	type pendingReply struct {
-		ch  chan error
-		err error
+	if env.kind == ctrlRun {
+		env.reply <- env.run(s.st)
+		return
 	}
-	var replies []pendingReply
-	var reads []envelope
-	add := func(e envelope) {
-		if e.kind == ctrlRun {
-			reads = append(reads, e)
-		} else if parked, err := s.process(e); !parked && e.reply != nil {
-			replies = append(replies, pendingReply{ch: e.reply, err: err})
-		}
-	}
-	add(env)
-	for burst := 0; burst < drainBurst; burst++ {
-		select {
-		case next := <-s.mail:
-			add(next)
-		default:
-			burst = drainBurst
-		}
+	parked, err := s.process(env)
+	if s.dirty {
+		s.publish()
 	}
 	// Periodic checkpoint (Config.SnapshotEveryBatches): bound the WAL
 	// tail by re-anchoring the log on a fresh snapshot after every N
 	// accepted data batches — the same checkpoint an explicit Checkpoint
-	// performs, with nobody waiting on it.
+	// performs, with nobody waiting on it, and its own publication.
 	if n := s.cfg.SnapshotEveryBatches; n > 0 && s.persist.store != nil && s.batchesSinceSnap >= n {
 		s.batchesSinceSnap = 0
 		_ = s.checkpoint()
 	}
-	if s.dirty {
-		s.publish()
-	}
-	for _, r := range replies {
-		r.ch <- r.err
-	}
-	for _, e := range reads {
-		e.reply <- e.run(s.st)
+	if !parked && env.reply != nil {
+		env.reply <- err
 	}
 	if trigger := s.st.Drift(); trigger != "" {
 		// Cannot fail: Drift asks only with vertices assigned and no
@@ -669,7 +652,8 @@ func (s *Server) process(env envelope) (parked bool, err error) {
 		if wedged {
 			return false, fmt.Errorf("%w: drain refused; checkpoint to repair", ErrWedged)
 		}
-		return false, s.commit(checkpoint.RecordDrain, env)
+		_, err := s.commit(checkpoint.RecordDrain, env)
+		return false, err
 	case ctrlCheckpoint:
 		// The barrier failpoint refuses the checkpoint request before it
 		// drains or reseeds anything: the caller sees the error, the
@@ -688,29 +672,36 @@ func (s *Server) process(env envelope) (parked bool, err error) {
 	// Once wedged, the log is missing applied elements; accepting more
 	// would acknowledge durability the directory cannot deliver, and
 	// recovery would reject replayed records referencing the gap.
-	if wedged && len(env.elems) > 0 {
-		s.st.Refuse(len(env.elems))
-		return false, fmt.Errorf("%w: refused %d elements; checkpoint to repair", ErrWedged, len(env.elems))
+	n, accepted := len(env.elems), 0
+	if wedged && n > 0 {
+		s.st.Refuse(n)
+		err = fmt.Errorf("%w: refused %d elements; checkpoint to repair", ErrWedged, n)
+	} else {
+		if n > 0 {
+			s.batchesSinceSnap++
+		}
+		accepted, err = s.commit(checkpoint.RecordBatch, env)
 	}
-	if len(env.elems) > 0 {
-		s.batchesSinceSnap++
+	if env.tally != nil {
+		*env.tally = tally{accepted: accepted, rejected: n - accepted}
 	}
-	return false, s.commit(checkpoint.RecordBatch, env)
+	return false, err
 }
 
 // commit applies one replayable operation to the core and then logs it,
-// so the WAL holds exactly what ApplyRecord will be fed at recovery.
-// Durability before acknowledgement: the record is in the WAL (fsynced
-// per policy) before the caller releases the envelope's reply.
-func (s *Server) commit(kind checkpoint.RecordKind, env envelope) error {
+// so the WAL holds exactly what ApplyRecord will be fed at recovery, and
+// returns how many of its elements the core accepted. Durability before
+// acknowledgement: the record is in the WAL (fsynced per policy) before
+// the caller releases the envelope's reply.
+func (s *Server) commit(kind checkpoint.RecordKind, env envelope) (int, error) {
 	accepted, err := s.st.ApplyRecord(kind, env.elems)
 	if s.persist.store == nil || (kind == checkpoint.RecordBatch && len(accepted) == 0) {
-		return err
+		return len(accepted), err
 	}
 	if werr := s.log(kind, env, accepted); werr != nil {
-		return errors.Join(err, werr)
+		return len(accepted), errors.Join(err, werr)
 	}
-	return err
+	return len(accepted), err
 }
 
 // log appends one record — an element-less drain/barrier marker, or the
@@ -730,7 +721,7 @@ func (s *Server) log(kind checkpoint.RecordKind, env envelope, accepted []stream
 		n, err = s.persist.store.Append(kind, nil)
 	} else {
 		body := env.raw
-		if !env.rawExact || len(accepted) != len(env.elems) {
+		if body == nil || len(accepted) != len(env.elems) {
 			if body, err = s.walEnc.AppendPayload(s.walScratch[:0], accepted); err == nil {
 				s.walScratch = body
 			}

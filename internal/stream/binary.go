@@ -86,11 +86,13 @@ var (
 	ErrFrameDuplicate = errors.New("stream: frame carries intra-frame duplicates")
 )
 
-// Batch is one binary frame in flight from the wire to the writer. Payload
-// holds the raw frame payload exactly as received (the shape the WAL can
-// append as a record body without re-encoding); Elems is the decoded,
-// validated, intra-frame-deduplicated element list. Buffers are reused
-// across Reset cycles.
+// Batch is one ingest batch in flight from the wire to the writer: a
+// binary frame, or up to TextBatchSize text records (ReaderSource.ReadBatch,
+// which leaves Payload empty). For a frame, Payload holds the raw frame
+// payload exactly as received (the shape the WAL can append as a record
+// body without re-encoding) and Elems is the decoded, validated,
+// intra-frame-deduplicated element list. Buffers are reused across Reset
+// cycles.
 type Batch struct {
 	Payload []byte
 	CRC     uint32 // from the frame header; checked by FrameDecoder.Decode
@@ -463,7 +465,19 @@ const readStep = 64 << 10
 
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10)}
+	fr := new(FrameReader)
+	fr.Reset(r)
+	return fr
+}
+
+// Reset restarts fr on r, reusing its read buffer.
+func (fr *FrameReader) Reset(r io.Reader) {
+	if fr.br == nil {
+		fr.br = bufio.NewReaderSize(r, 64<<10)
+	} else {
+		fr.br.Reset(r)
+	}
+	fr.frames = 0
 }
 
 // Frames returns how many frames have been read so far.

@@ -97,6 +97,14 @@ func TestBinaryMultiFrameStream(t *testing.T) {
 			t.Fatalf("element %d: got %v, want %v", i, got[i], elems[i])
 		}
 	}
+	// Reset starts the reader over on a new stream.
+	fr.Reset(bytes.NewReader(encodeFrame(t, elems[:1])))
+	if err := fr.Next(&b); err != nil || fr.Frames() != 1 {
+		t.Fatalf("after Reset: %v, %d frames", err, fr.Frames())
+	}
+	if err := fr.Next(&b); err != io.EOF {
+		t.Fatalf("after Reset: end %v, want io.EOF", err)
+	}
 }
 
 func TestBinaryDecodeDedup(t *testing.T) {

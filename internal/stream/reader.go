@@ -24,17 +24,31 @@ import (
 // guarantees lexical shape.
 type ReaderSource struct {
 	sc   *bufio.Scanner
+	buf  []byte // the scanner's initial buffer, kept across Reset
 	seq  int
 	line int
 	err  error
 	done bool
 }
 
+// TextBatchSize is how many records ReadBatch puts in one Batch.
+const TextBatchSize = 512
+
 // FromReader returns a ReaderSource over r.
 func FromReader(r io.Reader) *ReaderSource {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &ReaderSource{sc: sc}
+	s := new(ReaderSource)
+	s.Reset(r)
+	return s
+}
+
+// Reset restarts s on r, reusing its line buffer.
+func (s *ReaderSource) Reset(r io.Reader) {
+	buf := s.buf
+	if buf == nil {
+		buf = make([]byte, 0, 64<<10)
+	}
+	*s = ReaderSource{sc: bufio.NewScanner(r), buf: buf}
+	s.sc.Buffer(buf, 16<<20)
 }
 
 // Next implements Source. After ok=false, check Err.
@@ -66,6 +80,29 @@ func (s *ReaderSource) fail(err error) {
 	s.err = err
 }
 
+// ReadBatch fills b.Elems with the next records, up to TextBatchSize,
+// numbering them across the whole stream. It returns io.EOF at a clean
+// end with nothing read, and the decode error once the records before a
+// malformed line have all been handed out: a batch is never cut short
+// by the error it precedes.
+func (s *ReaderSource) ReadBatch(b *Batch) error {
+	b.Reset()
+	for len(b.Elems) < TextBatchSize {
+		el, ok := s.Next()
+		if !ok {
+			break
+		}
+		b.Elems = append(b.Elems, el)
+	}
+	switch {
+	case len(b.Elems) > 0:
+		return nil
+	case s.err != nil:
+		return s.err
+	}
+	return io.EOF
+}
+
 // Err returns the decode error that terminated the stream, or nil after a
 // clean EOF.
 func (s *ReaderSource) Err() error { return s.err }
@@ -75,51 +112,41 @@ func (s *ReaderSource) Elements() int { return s.seq }
 
 func (s *ReaderSource) parseLine(line string) (Element, error) {
 	fields := strings.Fields(line)
+	var el Element
+	var shape string
 	switch fields[0] {
 	case "v":
-		if len(fields) != 3 {
-			return Element{}, fmt.Errorf("stream: line %d: want 'v <id> <label>', got %q", s.line, line)
-		}
-		id, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad vertex id %q: %v", s.line, fields[1], err)
-		}
-		return Element{Kind: VertexElement, V: graph.VertexID(id), Label: graph.Label(fields[2])}, nil
+		el.Kind, shape = VertexElement, "v <id> <label>"
 	case "e":
-		if len(fields) != 3 {
-			return Element{}, fmt.Errorf("stream: line %d: want 'e <u> <v>', got %q", s.line, line)
-		}
-		u, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad endpoint %q: %v", s.line, fields[1], err)
-		}
-		v, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad endpoint %q: %v", s.line, fields[2], err)
-		}
-		return Element{Kind: EdgeElement, V: graph.VertexID(u), U: graph.VertexID(v)}, nil
+		el.Kind, shape = EdgeElement, "e <u> <v>"
 	case "rv":
-		if len(fields) != 2 {
-			return Element{}, fmt.Errorf("stream: line %d: want 'rv <id>', got %q", s.line, line)
-		}
-		id, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad vertex id %q: %v", s.line, fields[1], err)
-		}
-		return Element{Kind: RemoveVertexElement, V: graph.VertexID(id)}, nil
+		el.Kind, shape = RemoveVertexElement, "rv <id>"
 	case "re":
-		if len(fields) != 3 {
-			return Element{}, fmt.Errorf("stream: line %d: want 're <u> <v>', got %q", s.line, line)
-		}
-		u, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad endpoint %q: %v", s.line, fields[1], err)
-		}
-		v, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return Element{}, fmt.Errorf("stream: line %d: bad endpoint %q: %v", s.line, fields[2], err)
-		}
-		return Element{Kind: RemoveEdgeElement, V: graph.VertexID(u), U: graph.VertexID(v)}, nil
+		el.Kind, shape = RemoveEdgeElement, "re <u> <v>"
+	default:
+		return Element{}, fmt.Errorf("stream: line %d: unknown record %q", s.line, fields[0])
 	}
-	return Element{}, fmt.Errorf("stream: line %d: unknown record %q", s.line, fields[0])
+	if len(fields) != strings.Count(shape, " ")+1 {
+		return Element{}, fmt.Errorf("stream: line %d: want '%s', got %q", s.line, shape, line)
+	}
+	ids, what := fields[1:], "endpoint"
+	switch el.Kind {
+	case VertexElement:
+		el.Label = graph.Label(fields[2])
+		ids, what = fields[1:2], "vertex id"
+	case RemoveVertexElement:
+		what = "vertex id"
+	}
+	for i, f := range ids {
+		id, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return Element{}, fmt.Errorf("stream: line %d: bad %s %q: %v", s.line, what, f, err)
+		}
+		if i == 0 {
+			el.V = graph.VertexID(id)
+		} else {
+			el.U = graph.VertexID(id)
+		}
+	}
+	return el, nil
 }

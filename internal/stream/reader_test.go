@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,5 +102,52 @@ func TestFromReaderMatchesCodec(t *testing.T) {
 	}
 	if !g.Equal(rebuilt) {
 		t.Fatalf("rebuilt graph differs:\n got %v\nwant %v", rebuilt, g)
+	}
+}
+
+// TestReadBatch cuts a text body into TextBatchSize-record batches whose
+// Seq numbers run across the whole body, hands out every record before a
+// malformed line as a batch of its own and only then the error, and
+// starts over cleanly after Reset.
+func TestReadBatch(t *testing.T) {
+	body := func(n, bad int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			if i == bad {
+				sb.WriteString("not-a-record\n")
+			}
+			fmt.Fprintf(&sb, "v %d a\n", i)
+		}
+		return sb.String()
+	}
+	read := func(src *ReaderSource) (sizes []int, err error) {
+		var b Batch
+		seq := 0
+		for {
+			if err = src.ReadBatch(&b); err != nil {
+				return sizes, err
+			}
+			for _, el := range b.Elems {
+				if el.Seq != seq || el.V != graph.VertexID(seq) {
+					t.Fatalf("element %v at position %d", el, seq)
+				}
+				seq++
+			}
+			sizes = append(sizes, len(b.Elems))
+		}
+	}
+	src := FromReader(strings.NewReader(body(2*TextBatchSize+6, -1)))
+	sizes, err := read(src)
+	if err != io.EOF || !slices.Equal(sizes, []int{TextBatchSize, TextBatchSize, 6}) {
+		t.Fatalf("clean body: batches %v, end %v", sizes, err)
+	}
+	src.Reset(strings.NewReader(body(TextBatchSize+100, TextBatchSize+88)))
+	sizes, err = read(src)
+	if err == nil || err == io.EOF || !slices.Equal(sizes, []int{TextBatchSize, 88}) {
+		t.Fatalf("malformed body: batches %v, end %v", sizes, err)
+	}
+	src.Reset(strings.NewReader(body(3, -1)))
+	if sizes, err = read(src); err != io.EOF || !slices.Equal(sizes, []int{3}) {
+		t.Fatalf("after Reset: batches %v, end %v", sizes, err)
 	}
 }

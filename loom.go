@@ -478,9 +478,9 @@ var ErrServerNoPersistence = serve.ErrNoPersistence
 // restores durability. Reads keep working throughout.
 var ErrServerWedged = serve.ErrWedged
 
-// ErrServerOverloaded is returned by Server.Ingest/IngestSync when
-// admission control refuses a batch; errors.As to *ServerOverloadError
-// for the Retry-After hint.
+// ErrServerOverloaded is returned by Server.Ingest/IngestSync and
+// Server.IngestFrames/IngestText when admission control refuses a batch;
+// errors.As to *ServerOverloadError for the Retry-After hint.
 var ErrServerOverloaded = serve.ErrOverloaded
 
 // NewServer starts an online partition server and its ingest loop. Feed it
@@ -581,12 +581,15 @@ func FromReader(r io.Reader) *stream.ReaderSource { return stream.FromReader(r) 
 // BinaryContentType), decoded off the writer goroutine and appended to
 // the WAL verbatim.
 type (
-	// FrameIngest summarises one Server.IngestFrames call: frames and
-	// elements accepted, intra-frame duplicates dropped, and the typed
-	// per-frame error, if any (FrameIngest.Err).
+	// FrameIngest summarises one Server.IngestFrames or IngestText call:
+	// batches and elements handed to the writer, intra-frame duplicates
+	// dropped, the exact accepted and rejected counts the writer reported
+	// for this call alone, and the joined per-batch element errors, if
+	// any (FrameIngest.Err).
 	FrameIngest = serve.FrameIngest
 	// BadFrameError is the typed refusal for a frame that fails CRC,
-	// framing or validation; nothing from a bad frame reaches the writer.
+	// framing or validation, or a malformed text line; nothing from a
+	// bad frame, or after a bad line, reaches the writer.
 	BadFrameError = serve.BadFrameError
 	// FrameWriter renders element batches as binary frames onto a writer —
 	// the client half of the codec.
